@@ -26,7 +26,7 @@ split = stratified_split(generate_synthetic(spec), 0.25, seed=7)
 tr, te = split.train, split.test
 
 history = {}
-model = train(tr.features, tr.labels, rounds=12, seed=7, history=history)
+model = train(tr.features, tr.labels, rounds=12, history=history)
 
 print("round  eps     bound      train_err  weight_sum")
 for t in range(model.rounds):

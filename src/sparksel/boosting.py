@@ -146,7 +146,7 @@ def train_stump(X, y, w):
     return Stump(feature_index=j, threshold=threshold, polarity=polarity, alpha=0.0), err
 
 
-def train(X, labels, rounds: int, seed: int = 0, history: dict | None = None) -> AdaBoostModel:
+def train(X, labels, rounds: int, history: dict | None = None) -> AdaBoostModel:
     """Fit an AdaBoost ensemble of at most ``rounds`` stumps.
 
     Weights start uniform and are renormalized to sum 1 every round.
@@ -154,11 +154,9 @@ def train(X, labels, rounds: int, seed: int = 0, history: dict | None = None) ->
     stump weight alpha = 0.5 ln((1 - eps) / eps); training stops early
     once a stump with raw error <= 1e-10 has been appended.
 
-    ``seed`` is accepted for interface symmetry with the stochastic
-    learners; training itself is deterministic.  Passing a dict as
-    ``history`` fills it with per-round diagnostics: "epsilon",
-    "weight_sum" (after the update), "bound" (the running exponential
-    loss bound prod 2*sqrt(eps*(1-eps))), and "train_error".
+    Passing a dict as ``history`` fills it with per-round diagnostics:
+    "epsilon", "weight_sum" (after the update), "bound" (the running
+    exponential loss bound prod 2*sqrt(eps*(1-eps))), and "train_error".
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)

@@ -201,37 +201,15 @@ def _dataset_for_seed(cfg: ExperimentConfig, seed: int):
 
 def _swarm_config(cfg: ExperimentConfig, seed: int, dimensions: int) -> swarm.SwarmConfig:
     return swarm.SwarmConfig(
-        dimensions=dimensions,
-        algorithm=cfg.get("swarm.algorithm"),
-        population=cfg.get("swarm.population"),
-        s_max=cfg.get("swarm.s_max"),
-        s_min=cfg.get("swarm.s_min"),
-        r_max=cfg.get("swarm.r_max"),
-        epsilon=cfg.get("swarm.epsilon"),
-        gaussian_sparks=cfg.get("swarm.gaussian_sparks"),
-        max_evaluations=cfg.get("swarm.max_evaluations"),
-        seed=seed,
-        pso_inertia=cfg.get("pso.inertia"),
-        pso_cognitive=cfg.get("pso.cognitive"),
-        pso_social=cfg.get("pso.social"),
-        pso_velocity_clamp=cfg.get("pso.velocity_clamp"),
-        ba_freq_min=cfg.get("ba.freq_min"),
-        ba_freq_max=cfg.get("ba.freq_max"),
-        ba_loudness=cfg.get("ba.loudness"),
-        ba_loudness_decay=cfg.get("ba.loudness_decay"),
-        ba_pulse_rate=cfg.get("ba.pulse_rate"),
-        ba_pulse_growth=cfg.get("ba.pulse_growth"),
+        dimensions=dimensions, seed=seed, **cfg.field_values(swarm.SwarmConfig)
     )
 
 
 def _selection_config(cfg: ExperimentConfig, seed: int, dimensions: int):
     return selection.SelectionConfig(
         swarm=_swarm_config(cfg, seed, dimensions),
-        lambda_fraction=cfg.get("selection.lambda_fraction"),
-        classifier_rounds=cfg.get("adaboost.rounds"),
-        test_fraction=cfg.get("split.test_fraction"),
         split_seed=seed,
-        holdout_fraction=cfg.get("split.holdout_fraction"),
+        **cfg.field_values(selection.SelectionConfig),
     )
 
 
@@ -240,18 +218,6 @@ def _recall(mask, informative):
         return None
     hits = int(np.asarray(mask)[list(informative)].sum())
     return hits / len(informative)
-
-
-def _metrics_dict(mset):
-    return {
-        "auc": mset.auc,
-        "acc": mset.acc,
-        "pre": mset.pre,
-        "sen": mset.sen,
-        "f1": mset.f1,
-        "spe": mset.spe,
-        "avg": mset.avg(),
-    }
 
 
 # --- command bodies --------------------------------------------------------
@@ -270,7 +236,7 @@ def _selection_run(cfg: ExperimentConfig, seed: int, threads: int) -> dict:
     if recall is not None:
         entry["informative_recall"] = recall
     if res.holdout_metrics is not None:
-        entry["holdout_metrics"] = _metrics_dict(res.holdout_metrics)
+        entry["holdout_metrics"] = res.holdout_metrics.to_dict()
     return entry
 
 
@@ -289,7 +255,7 @@ def _skb_run(cfg: ExperimentConfig, seed: int) -> dict:
         "config": dataclasses.asdict(sel_cfg),
         "k": int(k),
         "best_mask": [int(b) for b in mask],
-        "metrics": _metrics_dict(mset),
+        "metrics": mset.to_dict(),
         "loss": loss,
         "importance": [int(b) for b in mask],
         "evaluations": 1,

@@ -10,9 +10,11 @@ defaults filled, so parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, at_least, choice, fraction, positive
+from .selection import SelectionConfig
+from .swarm import SwarmConfig
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_.]*$")
 
@@ -25,27 +27,6 @@ class KeySpec:
     help: str = ""
 
 
-def _fraction(lo, hi, lo_open=True, hi_open=True):
-    def check(v):
-        ok_lo = v > lo if lo_open else v >= lo
-        ok_hi = v < hi if hi_open else v <= hi
-        if not (ok_lo and ok_hi):
-            return "must lie in %s%g, %g%s" % (
-                "(" if lo_open else "[", lo, hi, ")" if hi_open else "]"
-            )
-        return None
-
-    return check
-
-
-def _at_least(n):
-    return lambda v: None if v >= n else "must be >= %s" % n
-
-
-def _positive(v):
-    return None if v > 0 else "must be > 0"
-
-
 def _seed_list(v):
     if not v:
         return "must name at least one seed"
@@ -54,55 +35,43 @@ def _seed_list(v):
     return None
 
 
-def _choice(*options):
-    return lambda v: None if v in options else "must be one of %s" % (options,)
+def _field_specs(*classes):
+    """KeySpecs of the dataclass fields that name a config key: the
+    field's default, range check and annotation (a string such as "int"
+    under postponed evaluation, which is the KeySpec kind) are the only
+    copy."""
+    return {
+        f.metadata["key"]: KeySpec(f.type, f.default, f.metadata["check"])
+        for cls in classes
+        for f in fields(cls)
+        if f.metadata.get("key")
+    }
 
 
 REGISTRY = {
     "out_dir": KeySpec("str", "", help="output directory; empty defers to env/cwd"),
     "seeds": KeySpec("int_list", [0], _seed_list, "run seeds"),
-    "threads": KeySpec("int", 1, _at_least(1), "objective-evaluation threads"),
+    "threads": KeySpec("int", 1, at_least(1), "objective-evaluation threads"),
     "data.path": KeySpec("str", "", help="CSV dataset; empty switches to synthesis"),
-    "synth.n_samples": KeySpec("int", 200, _at_least(4)),
-    "synth.d_informative": KeySpec("int", 5, _at_least(1)),
-    "synth.d_noise": KeySpec("int", 20, _at_least(0)),
-    "synth.class_imbalance": KeySpec("float", 0.17, _fraction(0, 1)),
-    "synth.noise_sigma": KeySpec("float", 1.0, _at_least(0)),
-    "split.test_fraction": KeySpec("float", 0.3, _fraction(0, 1)),
-    "split.holdout_fraction": KeySpec("float", 0.0, _fraction(0, 1, lo_open=False)),
-    "adaboost.rounds": KeySpec("int", 50, _at_least(1)),
-    "selection.lambda_fraction": KeySpec("float", 0.2, _fraction(0, 1)),
-    "swarm.algorithm": KeySpec("str", "ifa", _choice("ifa", "fa", "pso", "ba")),
-    "swarm.population": KeySpec("int", 10, _at_least(2)),
-    "swarm.s_max": KeySpec("int", 20, _at_least(1)),
-    "swarm.s_min": KeySpec("int", 1, _at_least(1)),
-    "swarm.r_max": KeySpec("float", 0.4, _fraction(0, 1, hi_open=False)),
-    "swarm.epsilon": KeySpec("float", 1e-12, _positive),
-    "swarm.gaussian_sparks": KeySpec("int", 5, _at_least(0)),
-    "swarm.max_evaluations": KeySpec("int", 2000, _at_least(1)),
-    "pso.inertia": KeySpec("float", 0.729),
-    "pso.cognitive": KeySpec("float", 1.49445),
-    "pso.social": KeySpec("float", 1.49445),
-    "pso.velocity_clamp": KeySpec("float", 0.5, _positive),
-    "ba.freq_min": KeySpec("float", 0.0, _at_least(0)),
-    "ba.freq_max": KeySpec("float", 2.0, _positive),
-    "ba.loudness": KeySpec("float", 1.0, _positive),
-    "ba.loudness_decay": KeySpec("float", 0.9, _fraction(0, 1, hi_open=False)),
-    "ba.pulse_rate": KeySpec("float", 0.5, _fraction(0, 1, lo_open=False, hi_open=False)),
-    "ba.pulse_growth": KeySpec("float", 0.9, _positive),
-    "bench.function": KeySpec("str", "sphere", _choice("sphere", "rastrigin")),
-    "bench.dimensions": KeySpec("int", 10, _at_least(1)),
+    "synth.n_samples": KeySpec("int", 200, at_least(4)),
+    "synth.d_informative": KeySpec("int", 5, at_least(1)),
+    "synth.d_noise": KeySpec("int", 20, at_least(0)),
+    "synth.class_imbalance": KeySpec("float", 0.17, fraction(0, 1)),
+    "synth.noise_sigma": KeySpec("float", 1.0, at_least(0)),
+    **_field_specs(SelectionConfig, SwarmConfig),
+    "bench.function": KeySpec("str", "sphere", choice("sphere", "rastrigin")),
+    "bench.dimensions": KeySpec("int", 10, at_least(1)),
     "bench.algorithms": KeySpec("str_list", ["ifa", "fa"]),
-    "skb.k": KeySpec("int", 0, _at_least(0), "0 means the lambda floor"),
-    "ippg.fps": KeySpec("int", 25, _at_least(1)),
-    "ippg.duration_s": KeySpec("float", 30.0, _positive),
-    "ippg.height": KeySpec("int", 8, _at_least(1)),
-    "ippg.width": KeySpec("int", 8, _at_least(1)),
-    "ippg.hr_hz": KeySpec("float", 1.2, _positive),
-    "ippg.rr_hz": KeySpec("float", 0.25, _positive),
-    "ippg.hr_amp": KeySpec("float", 2.0, _at_least(0)),
-    "ippg.rr_amp": KeySpec("float", 1.0, _at_least(0)),
-    "ippg.noise_std": KeySpec("float", 2.0, _at_least(0)),
+    "skb.k": KeySpec("int", 0, at_least(0), "0 means the lambda floor"),
+    "ippg.fps": KeySpec("int", 25, at_least(1)),
+    "ippg.duration_s": KeySpec("float", 30.0, positive),
+    "ippg.height": KeySpec("int", 8, at_least(1)),
+    "ippg.width": KeySpec("int", 8, at_least(1)),
+    "ippg.hr_hz": KeySpec("float", 1.2, positive),
+    "ippg.rr_hz": KeySpec("float", 0.25, positive),
+    "ippg.hr_amp": KeySpec("float", 2.0, at_least(0)),
+    "ippg.rr_amp": KeySpec("float", 1.0, at_least(0)),
+    "ippg.noise_std": KeySpec("float", 2.0, at_least(0)),
     "ippg.fore_path": KeySpec("str", ""),
     "ippg.nose_path": KeySpec("str", ""),
     "ippg.emit_frames": KeySpec("bool", False),
@@ -126,6 +95,15 @@ class ExperimentConfig:
             _validate(key, value)
             merged[key] = value
         return ExperimentConfig(values=merged)
+
+    def field_values(self, cls) -> dict:
+        """Keyword arguments for dataclass ``cls``: each field that names
+        a config key takes that key's value."""
+        return {
+            f.name: self.values[f.metadata["key"]]
+            for f in fields(cls)
+            if f.metadata.get("key")
+        }
 
     def echo(self, exclude=("threads",)) -> dict:
         """Config map for embedding in reports; runtime-only keys that

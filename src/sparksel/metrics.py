@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .errors import DataError
 
@@ -45,6 +46,18 @@ class MetricSet:
     def avg(self) -> float:
         """Unweighted mean of all six scores."""
         return float(sum(self.as_tuple())) / 6.0
+
+    def to_dict(self) -> dict:
+        """The six scores plus ``avg``, as a JSON-ready report record."""
+        return {
+            "auc": self.auc,
+            "acc": self.acc,
+            "pre": self.pre,
+            "sen": self.sen,
+            "f1": self.f1,
+            "spe": self.spe,
+            "avg": self.avg(),
+        }
 
 
 def confusion(y_true, y_pred) -> ConfusionCounts:
@@ -106,25 +119,11 @@ def auc(y_true, scores) -> float:
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("auc needs both classes present")
-    ranks = _average_ranks(s)
+    # 1-based ranks; tied values share the mean of their rank block
+    ranks = rankdata(s, method="average")
     rank_sum = float(ranks[t == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
-
-
-def _average_ranks(s):
-    # 1-based ranks; tied values share the mean of their rank block.
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def score_set(y_true, y_pred, margin_scores) -> MetricSet:

@@ -13,7 +13,6 @@ non-wrapper baseline.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -22,7 +21,9 @@ import numpy as np
 
 from . import boosting, metrics, swarm
 from .data import Dataset, SplitPair, stratified_split
-from .errors import ConfigError, DataError, InvariantError
+from .errors import (
+    ConfigError, DataError, InvariantError, at_least, check_fields, fraction, setting,
+)
 
 
 @dataclass(frozen=True)
@@ -36,21 +37,16 @@ class SelectionConfig:
     """
 
     swarm: swarm.SwarmConfig
-    lambda_fraction: float = 0.2
-    classifier_rounds: int = 50
-    test_fraction: float = 0.3
+    lambda_fraction: float = setting(0.2, "selection.lambda_fraction", fraction(0, 1))
+    classifier_rounds: int = setting(50, "adaboost.rounds", at_least(1))
+    test_fraction: float = setting(0.3, "split.test_fraction", fraction(0, 1))
     split_seed: int = 0
-    holdout_fraction: float = 0.0
+    holdout_fraction: float = setting(
+        0.0, "split.holdout_fraction", fraction(0, 1, lo_open=False)
+    )
 
     def __post_init__(self):
-        if not 0.0 < self.lambda_fraction < 1.0:
-            raise ConfigError("lambda_fraction must lie in (0, 1)")
-        if self.classifier_rounds < 1:
-            raise ConfigError("classifier_rounds must be >= 1")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must lie in (0, 1)")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ConfigError("holdout_fraction must lie in [0, 1)")
+        check_fields(self)
 
 
 @dataclass
@@ -125,7 +121,6 @@ def _fit_mask(mask, split: SplitPair, cfg: SelectionConfig):
         split.train.features[:, cols],
         split.train.labels,
         rounds=cfg.classifier_rounds,
-        seed=cfg.swarm.seed,
     )
     test_x = split.test.features[:, cols]
     mset = metrics.score_set(
@@ -258,24 +253,10 @@ def result_dict(result: SelectionResult, config_echo: dict, wall_time_s: float) 
         "algorithm": result.algorithm,
         "config": config_echo,
         "best_mask": [int(b) for b in result.best_mask],
-        "metrics": {
-            "auc": result.best_metrics.auc,
-            "acc": result.best_metrics.acc,
-            "pre": result.best_metrics.pre,
-            "sen": result.best_metrics.sen,
-            "f1": result.best_metrics.f1,
-            "spe": result.best_metrics.spe,
-            "avg": result.best_metrics.avg(),
-        },
+        "metrics": result.best_metrics.to_dict(),
         "loss": result.loss,
         "importance": [int(c) for c in result.importance],
         "evaluations": int(result.evaluations),
         "wall_time_s": wall_time_s,
     }
 
-
-def result_json(result: SelectionResult, config_echo: dict, wall_time_s: float) -> str:
-    """Serialize a SelectionResult for reports."""
-    return json.dumps(
-        result_dict(result, config_echo, wall_time_s), indent=2, sort_keys=True
-    )

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import (
+    ConfigError, InvariantError, at_least, check_fields, choice, fraction, positive, setting,
+)
 
 ALGORITHMS = ("ifa", "fa", "pso", "ba")
 
@@ -33,49 +35,38 @@ class SwarmConfig:
     cube edge; ``epsilon`` guards the radius and spark-count ratios
     against zero denominators; ``s_min``/``s_max`` bound per-firework
     spark counts.  PSO and BA fields carry the usual textbook meanings
-    and are ignored by the fireworks variants.
+    and are ignored by the fireworks variants.  Each ``setting`` names
+    the field's config key and range check; config.REGISTRY is built
+    from them.
     """
 
-    dimensions: int
-    algorithm: str = "ifa"
-    population: int = 10
-    s_max: int = 20
-    s_min: int = 1
-    r_max: float = 0.4
-    epsilon: float = 1e-12
-    gaussian_sparks: int = 5
-    max_evaluations: int = 10000
-    seed: int = 0
-    pso_inertia: float = 0.729
-    pso_cognitive: float = 1.49445
-    pso_social: float = 1.49445
-    pso_velocity_clamp: float = 0.5
-    ba_freq_min: float = 0.0
-    ba_freq_max: float = 2.0
-    ba_loudness: float = 1.0
-    ba_loudness_decay: float = 0.9
-    ba_pulse_rate: float = 0.5
-    ba_pulse_growth: float = 0.9
+    dimensions: int = setting(check=at_least(1))
+    algorithm: str = setting("ifa", "swarm.algorithm", choice(*ALGORITHMS))
+    population: int = setting(10, "swarm.population", at_least(2))
+    s_max: int = setting(20, "swarm.s_max", at_least(1))
+    s_min: int = setting(1, "swarm.s_min", at_least(1))
+    r_max: float = setting(0.4, "swarm.r_max", fraction(0, 1, hi_open=False))
+    epsilon: float = setting(1e-12, "swarm.epsilon", positive)
+    gaussian_sparks: int = setting(5, "swarm.gaussian_sparks", at_least(0))
+    max_evaluations: int = setting(2000, "swarm.max_evaluations", at_least(1))
+    seed: int = setting(0, check=at_least(0))
+    pso_inertia: float = setting(0.729, "pso.inertia")
+    pso_cognitive: float = setting(1.49445, "pso.cognitive")
+    pso_social: float = setting(1.49445, "pso.social")
+    pso_velocity_clamp: float = setting(0.5, "pso.velocity_clamp", positive)
+    ba_freq_min: float = setting(0.0, "ba.freq_min", at_least(0))
+    ba_freq_max: float = setting(2.0, "ba.freq_max", positive)
+    ba_loudness: float = setting(1.0, "ba.loudness", positive)
+    ba_loudness_decay: float = setting(0.9, "ba.loudness_decay", fraction(0, 1, hi_open=False))
+    ba_pulse_rate: float = setting(
+        0.5, "ba.pulse_rate", fraction(0, 1, lo_open=False, hi_open=False)
+    )
+    ba_pulse_growth: float = setting(0.9, "ba.pulse_growth", positive)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError("algorithm must be one of %s" % (ALGORITHMS,))
-        if self.dimensions < 1:
-            raise ConfigError("dimensions must be >= 1")
-        if self.population < 2:
-            raise ConfigError("population must be >= 2")
-        if self.s_min < 1 or self.s_max < self.s_min:
+        check_fields(self)
+        if self.s_max < self.s_min:
             raise ConfigError("need 1 <= s_min <= s_max")
-        if not 0.0 < self.r_max <= 1.0:
-            raise ConfigError("r_max must lie in (0, 1]")
-        if self.epsilon <= 0.0:
-            raise ConfigError("epsilon must be > 0")
-        if self.gaussian_sparks < 0:
-            raise ConfigError("gaussian_sparks must be >= 0")
-        if self.max_evaluations < 1:
-            raise ConfigError("max_evaluations must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if not self.ba_freq_min < self.ba_freq_max:
             raise ConfigError("need ba_freq_min < ba_freq_max")
 
@@ -237,7 +228,8 @@ def select_next(fitnesses, n_keep, rng):
 
 class _Budget:
     """Counts objective calls, tracks the global best, and truncates
-    batches to the remaining budget.  Ties keep the earlier candidate."""
+    batches to the remaining budget.  Ties keep the earlier candidate.
+    A NaN or infinite objective value raises InvariantError."""
 
     def __init__(self, objective, max_evaluations, pool):
         self.objective = objective
@@ -258,6 +250,10 @@ class _Budget:
             f = np.fromiter(self.pool.map(self.objective, X), np.float64, count=m)
         else:
             f = np.fromiter((self.objective(x) for x in X), np.float64, count=m)
+        bad = np.flatnonzero(~np.isfinite(f))
+        if bad.size:
+            k = int(bad[0])
+            raise InvariantError("objective returned %r at %s" % (float(f[k]), X[k].tolist()))
         self.used += m
         if m:
             k = int(np.argmin(f))
@@ -273,8 +269,9 @@ def optimize(objective, cfg: SwarmConfig, threads: int = 1) -> OptResult:
     Parameters
     ----------
     objective : callable
-        Maps a length-d vector in [0,1]^d to a finite float.  Must be
-        pure; with threads > 1 it is called concurrently.
+        Maps a length-d vector in [0,1]^d to a finite float; NaN or
+        +-inf raises InvariantError.  Must be pure; with threads > 1 it
+        is called concurrently.
     cfg : SwarmConfig
         Algorithm choice and parameters; cfg.seed fixes the run exactly.
     threads : int

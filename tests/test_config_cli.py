@@ -2,6 +2,7 @@
 line-accurate errors, round-trip identity, report shape, exit codes,
 and the compare table."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -14,6 +15,8 @@ from sparksel import config as cfgmod
 from sparksel.cli import main
 from sparksel.config import default_config, parse_config, serialize_config
 from sparksel.errors import ConfigError
+from sparksel.selection import SelectionConfig
+from sparksel.swarm import SwarmConfig
 
 QUICK = """
 seeds = 0
@@ -119,6 +122,64 @@ class TestConfigParsing:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "absent.cfg"))
+
+
+# config key -> (dataclass, field, a value outside the key's range);
+# None marks a key with no range rule
+DERIVED_KEYS = {
+    "swarm.algorithm": (SwarmConfig, "algorithm", "annealing"),
+    "swarm.population": (SwarmConfig, "population", 1),
+    "swarm.s_max": (SwarmConfig, "s_max", 0),
+    "swarm.s_min": (SwarmConfig, "s_min", 0),
+    "swarm.r_max": (SwarmConfig, "r_max", 1.5),
+    "swarm.epsilon": (SwarmConfig, "epsilon", 0.0),
+    "swarm.gaussian_sparks": (SwarmConfig, "gaussian_sparks", -1),
+    "swarm.max_evaluations": (SwarmConfig, "max_evaluations", 0),
+    "pso.inertia": (SwarmConfig, "pso_inertia", None),
+    "pso.cognitive": (SwarmConfig, "pso_cognitive", None),
+    "pso.social": (SwarmConfig, "pso_social", None),
+    "pso.velocity_clamp": (SwarmConfig, "pso_velocity_clamp", -1.0),
+    "ba.freq_min": (SwarmConfig, "ba_freq_min", -1.0),
+    "ba.freq_max": (SwarmConfig, "ba_freq_max", 0.0),
+    "ba.loudness": (SwarmConfig, "ba_loudness", 0.0),
+    "ba.loudness_decay": (SwarmConfig, "ba_loudness_decay", 5.0),
+    "ba.pulse_rate": (SwarmConfig, "ba_pulse_rate", 3.0),
+    "ba.pulse_growth": (SwarmConfig, "ba_pulse_growth", 0.0),
+    "selection.lambda_fraction": (SelectionConfig, "lambda_fraction", 1.5),
+    "adaboost.rounds": (SelectionConfig, "classifier_rounds", 0),
+    "split.test_fraction": (SelectionConfig, "test_fraction", 1.0),
+    "split.holdout_fraction": (SelectionConfig, "holdout_fraction", 1.0),
+}
+
+
+def build(cls, **kw):
+    if cls is SelectionConfig:
+        return SelectionConfig(swarm=SwarmConfig(dimensions=4), **kw)
+    return SwarmConfig(dimensions=4, **kw)
+
+
+@pytest.mark.parametrize("key", sorted(DERIVED_KEYS))
+def test_registry_and_dataclass_agree(key):
+    """Each swarm/selection key has one default and one range rule:
+    the registry and the dataclass field give the same answers."""
+    cls, name, bad = DERIVED_KEYS[key]
+    field = {f.name: f for f in dataclasses.fields(cls)}[name]
+    assert cfgmod.REGISTRY[key].default == field.default
+    assert type(cfgmod.REGISTRY[key].default) is type(field.default)
+    if bad is None:
+        return
+    with pytest.raises(ConfigError) as err:
+        default_config().with_overrides({key: bad})
+    assert key in str(err.value)
+    with pytest.raises(ConfigError):
+        build(cls, **{name: bad})
+
+
+def test_derived_keys_are_exactly_the_dataclass_fields():
+    cfg = default_config()
+    for cls in (SwarmConfig, SelectionConfig):
+        want = {name: cfg.get(k) for k, (c, name, _) in DERIVED_KEYS.items() if c is cls}
+        assert cfg.field_values(cls) == want
 
 
 def run_cli(args):

@@ -156,3 +156,37 @@ def test_score_set_bundles_all_six():
     assert m.spe == pytest.approx(specificity(c))
     assert m.auc == pytest.approx(auc(y, margins))
     assert m.as_tuple() == (m.auc, m.acc, m.pre, m.sen, m.f1, m.spe)
+
+
+def loop_average_ranks(s):
+    """Reference tie-averaged 1-based ranks: one stable sort, then a
+    walk over each block of equal values."""
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(s.size, dtype=np.float64)
+    sorted_s = s[order]
+    i = 0
+    while i < s.size:
+        j = i
+        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_auc_ranks_match_loop_reference():
+    """auc ranks with scipy's rankdata; on heavily tied vectors it must
+    give exactly the ranks, and so the AUC, of the loop it replaced."""
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        n = int(rng.integers(2, 80))
+        s = rng.integers(0, int(rng.integers(1, 8)), size=n) / 3.0
+        ranks = loop_average_ranks(s)
+        assert np.array_equal(rankdata(s, method="average"), ranks)
+        y = rng.integers(0, 2, size=n)
+        y[0], y[1] = 0, 1
+        n_pos = int(y.sum())
+        u = float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+        assert auc(y, s) == u / (n_pos * (n - n_pos))

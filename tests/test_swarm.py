@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sparksel import swarm
-from sparksel.errors import ConfigError
+from sparksel.cli import main
+from sparksel.errors import ConfigError, InvariantError
 from sparksel.swarm import (
     SwarmConfig,
     child_rng,
@@ -318,3 +319,39 @@ class TestOptimize:
         assert np.array_equal(a.best_x, b.best_x)
         assert np.array_equal(a.fitness_trace, b.fitness_trace)
         assert a.evaluations_used == b.evaluations_used
+
+
+class TestNonFiniteObjective:
+    """A NaN or infinite objective value is a bug in the objective and
+    must stop the run, not become the best point or a silent inf."""
+
+    def test_all_nan_raises(self):
+        for algo in ("ifa", "fa", "pso", "ba"):
+            with pytest.raises(InvariantError):
+                optimize(lambda x: float("nan"), cfg(algorithm=algo, max_evaluations=50))
+
+    def test_single_nan_raises(self):
+        calls = []
+
+        def one_nan(x):
+            calls.append(1)
+            return float("nan") if len(calls) == 17 else sphere(x)
+
+        with pytest.raises(InvariantError):
+            optimize(one_nan, cfg(max_evaluations=100))
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_inf_raises(self, value):
+        calls = []
+
+        def one_inf(x):
+            calls.append(1)
+            return value if len(calls) == 3 else sphere(x)
+
+        with pytest.raises(InvariantError):
+            optimize(one_inf, cfg(max_evaluations=100))
+
+    def test_cli_maps_non_finite_to_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(swarm.BENCHMARKS, "sphere", lambda x: float("nan"))
+        assert main(["bench", "sphere", "--out", str(tmp_path)]) == 3
