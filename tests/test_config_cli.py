@@ -123,6 +123,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "absent.cfg"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("swarm.population", "many"),
+        ("swarm.population", 2.5),
+        ("swarm.population", True),
+        ("swarm.r_max", "0.3"),
+        ("seeds", "0"),
+        ("seeds", [0, "1"]),
+        ("seeds", [0, False]),
+        ("bench.algorithms", "ifa"),
+        ("ippg.emit_frames", 1),
+        ("out_dir", 3),
+    ])
+    def test_override_of_wrong_type_names_the_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            default_config().with_overrides({key: value})
+        assert key in str(err.value)
+
+    def test_float_key_takes_an_int_override(self):
+        cfg = default_config().with_overrides({"swarm.r_max": 1, "seeds": [2, 3]})
+        assert cfg.get("swarm.r_max") == 1 and cfg.get("seeds") == [2, 3]
+
+    def test_threads_one_still_parses(self, tmp_path):
+        assert parse_config(write_config(tmp_path, "threads = 1\n")).get("threads") == 1
+
 
 # config key -> (dataclass, field, a value outside the key's range);
 # None marks a key with no range rule
@@ -251,6 +275,20 @@ class TestExitCodes:
     def test_missing_dataset_is_data_error(self, tmp_path):
         cfg = write_config(tmp_path, QUICK + "data.path = /nonexistent/x.csv\n")
         assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUICK)
+        assert run_cli(["select", "--config", cfg, "--threads", "2"]) == 1
+        for command in ("select", "baseline", "bench", "synth", "ippg",
+                        "importance", "compare"):
+            with pytest.raises(SystemExit):
+                run_cli([command, "--help"])
+            assert "--threads" not in capsys.readouterr().out
+
+    def test_threads_above_one_in_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUICK + "threads = 2\n")
+        assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "threads" in capsys.readouterr().err
 
     def test_usage_error_maps_to_config_error(self, capsys):
         assert run_cli(["no-such-command"]) == 1

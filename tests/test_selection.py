@@ -148,16 +148,6 @@ class TestSelectFeatures:
         assert a.loss == b.loss
         assert np.array_equal(a.importance, b.importance)
 
-    def test_threads_do_not_change_anything(self):
-        ds = synth(seed=4)
-        cfg = sel_cfg(ds.d, max_evaluations=100)
-        a = select_features(ds, cfg, threads=1)
-        b = select_features(ds, cfg, threads=8)
-        assert np.array_equal(a.best_mask, b.best_mask)
-        assert a.loss == b.loss
-        assert np.array_equal(a.importance, b.importance)
-        assert np.array_equal(a.fitness_trace, b.fitness_trace)
-
     def test_informative_columns_accumulate_more_importance(self):
         """Noise must hurt for the counts to tilt: when any single
         planted column already separates perfectly, every mask ties and
@@ -194,6 +184,11 @@ class TestSelectFeatures:
             SelectionConfig(swarm=sw, test_fraction=1.0)
         with pytest.raises(ConfigError):
             SelectionConfig(swarm=sw, holdout_fraction=1.0)
+
+    def test_negative_split_seed_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            SelectionConfig(swarm=swarm.SwarmConfig(dimensions=4), split_seed=-1)
+        assert "split_seed" in str(err.value)
 
 
 class TestAnovaF:

@@ -313,13 +313,6 @@ class TestOptimize:
             pts = np.vstack(seen)
             assert np.all((pts >= 0.0) & (pts <= 1.0)), algo
 
-    def test_thread_count_does_not_change_result(self):
-        a = optimize(sphere, cfg(max_evaluations=700, seed=5), threads=1)
-        b = optimize(sphere, cfg(max_evaluations=700, seed=5), threads=4)
-        assert np.array_equal(a.best_x, b.best_x)
-        assert np.array_equal(a.fitness_trace, b.fitness_trace)
-        assert a.evaluations_used == b.evaluations_used
-
 
 class TestNonFiniteObjective:
     """A NaN or infinite objective value is a bug in the objective and
