@@ -5,6 +5,12 @@ Candidate thresholds per feature are one sentinel below the minimum
 plus the midpoints between consecutive distinct values, so constant
 predictions are always reachable.  Ties in weighted error resolve to
 the lowest feature index, then the lowest threshold, then polarity +1.
+
+``train`` sorts every column once per fit (``presort``); each round's
+``train_stump`` is then one cumulative sum of the class weights over
+that order and one flat argmin over a (feature, split position,
+polarity) error layout, whose first minimum is exactly the tie-break
+above.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ class Stump:
 class AdaBoostModel:
     stumps: tuple
 
+    def __post_init__(self):
+        if not self.stumps:
+            raise DataError("a model needs at least one stump")
+
     @property
     def rounds(self) -> int:
         return len(self.stumps)
@@ -57,7 +67,7 @@ class AdaBoostModel:
 
     def predict(self, X):
         """Hard 0/1 labels; a zero margin maps to class 1."""
-        return np.where(self.margins(X) >= 0.0, 1, 0).astype(np.int64)
+        return hard_labels(self.margins(X))
 
     def to_json(self) -> str:
         recs = [
@@ -86,64 +96,106 @@ class AdaBoostModel:
         return cls(stumps=stumps)
 
 
-def train_stump(X, y, w):
+def hard_labels(margins):
+    """0/1 labels from ensemble margins; a zero margin maps to class 1."""
+    return np.where(margins >= 0.0, 1, 0).astype(np.int64)
+
+
+def _matrix(X):
+    """X as a non-empty, finite float64 matrix, else DataError."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
+        raise DataError("X must be a non-empty 2-D matrix")
+    if not np.isfinite(X).all():
+        raise DataError("X must hold finite values only")
+    return X
+
+
+def presort(X):
+    """The weight-independent part of the stump scan, built once per fit.
+
+    Returns ``(order, tied, thresholds)``, each shaped (d, n) with one
+    row per feature: the stable row order by value, whether split
+    position k (k rows fall below the threshold) is no split because
+    sorted values k-1 and k are equal, and the candidate threshold at k
+    (one below the minimum at k = 0, else the midpoint of sorted values
+    k-1 and k).  ``X`` must already be a finite 2-D float64 matrix.
+    """
+    cols = X.T
+    order = np.argsort(cols, axis=1, kind="stable")
+    v = np.take_along_axis(cols, order, axis=1)
+    tied = np.zeros(order.shape, dtype=bool)
+    tied[:, 1:] = v[:, 1:] == v[:, :-1]
+    thresholds = np.empty(order.shape)
+    thresholds[:, 0] = v[:, 0] - 1.0
+    thresholds[:, 1:] = 0.5 * (v[:, :-1] + v[:, 1:])
+    return order, tied, thresholds
+
+
+def train_stump(X, y, w, view=None):
     """Exhaustive weighted-error scan over all (feature, threshold,
     polarity) stumps.
 
     Candidate thresholds per feature are one value below the column
     minimum (constant prediction) plus every midpoint between
     consecutive distinct values.  Returns (stump, error) with the
-    stump's alpha left at 0; the boosting loop assigns it.  The scan
-    order fixes the tie-break: features ascending, thresholds ascending
-    within a feature, polarity +1 before -1, and only a strictly
-    smaller error displaces the incumbent.
+    stump's alpha left at 0; the boosting loop assigns it.  Ties go to
+    the lowest feature, then the lowest threshold, then polarity +1:
+    errors are laid out (feature, split position, polarity) with
+    non-splits at +inf, and the first minimum wins.
 
     Parameters
     ----------
     X : ndarray, shape (n, d)
+        Finite values.
     y : ndarray, shape (n,)
         Labels in {-1, +1}.
     w : ndarray, shape (n,)
         Non-negative sample weights summing to 1 within 1e-9.
+    view : tuple, optional
+        ``presort(X)``; ``train`` passes it so the sort runs once per
+        fit.  Without it, X, y and w are validated and X is presorted.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
+    if view is None:
+        X = _matrix(X)
+        if y.shape != (X.shape[0],) or w.shape != (X.shape[0],):
+            raise DataError("y and w must be vectors of length %d" % X.shape[0])
+        view = presort(X)
     if abs(w.sum() - 1.0) > 1e-9 or (w < 0).any():
         raise DataError("weights must be non-negative and sum to 1")
-    n, d = X.shape
+    order, tied, thresholds = view
+    d, n = order.shape
     w_pos = np.where(y > 0, w, 0.0)
     w_neg = np.where(y < 0, w, 0.0)
     total_pos = w_pos.sum()
     total_neg = w_neg.sum()
 
-    best = None  # (error, feature, threshold, polarity)
-    for j in range(d):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        # split positions: k samples fall strictly below the threshold
-        ks = np.concatenate(([0], np.flatnonzero(np.diff(v) > 0) + 1))
-        cum_pos = np.concatenate(([0.0], np.cumsum(w_pos[order])))
-        cum_neg = np.concatenate(([0.0], np.cumsum(w_neg[order])))
-        # polarity +1 misclassifies positives below and negatives at/above
-        err_plus = cum_pos[ks] + (total_neg - cum_neg[ks])
-        err_minus = cum_neg[ks] + (total_pos - cum_pos[ks])
-
-        errs = np.empty(2 * ks.size)
-        errs[0::2] = err_plus
-        errs[1::2] = err_minus
-        local = int(np.argmin(errs))  # first hit wins on ties
-        err = float(errs[local])
-        if best is not None and err >= best[0]:
-            continue
-        k = int(ks[local // 2])
-        polarity = 1 if local % 2 == 0 else -1
-        threshold = v[0] - 1.0 if k == 0 else 0.5 * (v[k - 1] + v[k])
-        best = (err, j, float(threshold), polarity)
-
-    err, j, threshold, polarity = best
-    return Stump(feature_index=j, threshold=threshold, polarity=polarity, alpha=0.0), err
+    # cum_*[j, k]: weight of the k lowest rows of feature j
+    below = order[:, :-1]
+    cum_pos = np.zeros((d, n))
+    cum_neg = np.zeros((d, n))
+    np.cumsum(w_pos[below], axis=1, out=cum_pos[:, 1:])
+    np.cumsum(w_neg[below], axis=1, out=cum_neg[:, 1:])
+    # polarity +1 misclassifies positives below and negatives at/above;
+    # (total - cum) + cum is bit for bit cum + (total - cum)
+    errs = np.empty((d, n, 2))
+    plus, minus = errs[:, :, 0], errs[:, :, 1]
+    np.subtract(total_neg, cum_neg, out=plus)
+    plus += cum_pos
+    np.subtract(total_pos, cum_pos, out=minus)
+    minus += cum_neg
+    errs[tied] = np.inf
+    best = int(np.argmin(errs))  # first hit wins on ties
+    j, k, p = np.unravel_index(best, errs.shape)
+    stump = Stump(
+        feature_index=int(j),
+        threshold=float(thresholds[j, k]),
+        polarity=1 - 2 * int(p),
+        alpha=0.0,
+    )
+    return stump, float(errs[j, k, p])
 
 
 def train(X, labels, rounds: int, history: dict | None = None) -> AdaBoostModel:
@@ -158,10 +210,8 @@ def train(X, labels, rounds: int, history: dict | None = None) -> AdaBoostModel:
     "epsilon", "weight_sum" (after the update), "bound" (the running
     exponential loss bound prod 2*sqrt(eps*(1-eps))), and "train_error".
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _matrix(X)
     labels = np.asarray(labels)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise DataError("X must be a non-empty 2-D matrix")
     if labels.shape != (X.shape[0],) or not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be a 0/1 vector matching X rows")
     if not ((labels == 0).any() and (labels == 1).any()):
@@ -172,13 +222,14 @@ def train(X, labels, rounds: int, history: dict | None = None) -> AdaBoostModel:
         history.update(epsilon=[], weight_sum=[], bound=[], train_error=[])
 
     y = 2.0 * labels - 1.0
+    view = presort(X)
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
     stumps = []
     margin = np.zeros(n)
     bound = 1.0
     for _ in range(rounds):
-        stump, err = train_stump(X, y, w)
+        stump, err = train_stump(X, y, w, view)
         eps = min(max(err, EPS), 1.0 - EPS)
         alpha = 0.5 * math.log((1.0 - eps) / eps)
         stump = Stump(stump.feature_index, stump.threshold, stump.polarity, alpha)

@@ -4,10 +4,12 @@ A continuous position in [0,1]^d discretizes at 0.5 into a 0/1 mask
 (the boundary itself selects), a repair step flips zero bits on until
 the mask keeps at least lambda = ceil(lambda_fraction * d) features,
 and the objective is the negated sum of six test-set metrics of an
-AdaBoost model trained on the masked columns.  Every evaluated mask
-also bumps a per-feature importance counter.  The swarm calls the
-objective one evaluation at a time on the calling thread, so these
-counters need no lock.
+AdaBoost model trained on the masked columns.  A run remembers the
+loss of each repaired mask it has trained (a plain dict of floats keyed
+by the packed mask bits), so a repeated mask costs no training; the
+swarm's budget, the importance counters and the popcount floor still
+count every evaluation.  The swarm calls the objective one evaluation
+at a time on the calling thread, so these counters need no lock.
 
 The ANOVA-based select-k-best filter lives here too as the
 non-wrapper baseline.
@@ -126,12 +128,15 @@ def _fit_mask(mask, split: SplitPair, cfg: SelectionConfig):
         split.train.labels,
         rounds=cfg.classifier_rounds,
     )
-    test_x = split.test.features[:, cols]
-    mset = metrics.score_set(
-        split.test.labels, model.predict(test_x), model.margins(test_x)
-    )
+    mset = _score(model, split.test, cols)
     loss = -float(sum(mset.as_tuple()))
     return loss, mset, model
+
+
+def _score(model, part: Dataset, cols) -> metrics.MetricSet:
+    """The six metrics of ``model`` on columns ``cols`` of ``part``."""
+    margins = model.margins(part.features[:, cols])
+    return metrics.score_set(part.labels, boosting.hard_labels(margins), margins)
 
 
 def fitness(mask, split: SplitPair, cfg: SelectionConfig):
@@ -147,8 +152,9 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
 
     The swarm explores [0,1]^d; each evaluation discretizes, repairs to
     the lambda floor, asserts the constraint, trains the classifier, and
-    scores the held-out side.  Importance counts accumulate over every
-    evaluation.  Equal (ds, cfg) gives a bit-identical result.
+    scores the held-out side; a mask already trained in this run reuses
+    its loss.  Importance counts accumulate over every evaluation.
+    Equal (ds, cfg) gives a bit-identical result.
     """
     if cfg.swarm.dimensions != ds.d:
         raise ConfigError(
@@ -165,6 +171,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
     lam = math.ceil(cfg.lambda_fraction * ds.d)
     tracker = ImportanceTracker.for_dimensions(ds.d)
     min_popcount = ds.d + 1
+    losses = {}  # packed repaired-mask bits -> loss, for this run only
 
     def objective(x):
         nonlocal min_popcount
@@ -173,10 +180,12 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
         pop = int(mask.sum())
         if pop < lam:
             raise InvariantError("repaired mask popcount %d < lambda %d" % (pop, lam))
-        loss, _ = fitness(mask, split, cfg)
+        key = np.packbits(mask.astype(np.uint8)).tobytes()
+        if key not in losses:
+            losses[key] = fitness(mask, split, cfg)[0]
         tracker.record(mask)
         min_popcount = min(min_popcount, pop)
-        return loss
+        return losses[key]
 
     opt = swarm.optimize(objective, cfg.swarm)
     if tracker.evaluations != opt.evaluations_used:
@@ -190,11 +199,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
     loss, mset, model = _fit_mask(best_mask, split, cfg)
     holdout_metrics = None
     if holdout is not None:
-        cols = np.flatnonzero(best_mask)
-        hx = holdout.features[:, cols]
-        holdout_metrics = metrics.score_set(
-            holdout.labels, model.predict(hx), model.margins(hx)
-        )
+        holdout_metrics = _score(model, holdout, np.flatnonzero(best_mask))
     return SelectionResult(
         algorithm=cfg.swarm.algorithm,
         best_mask=best_mask,

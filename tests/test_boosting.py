@@ -186,3 +186,108 @@ class TestSerialization:
         assert np.isfinite(model.stumps[0].alpha)
         assert model.stumps[0].alpha == pytest.approx(
             0.5 * np.log((1 - boosting.EPS) / boosting.EPS))
+
+
+def loop_stump(X, y, w):
+    """The per-feature scan train_stump replaced, kept as the reference:
+    returns (error, feature, threshold, polarity)."""
+    w_pos = np.where(y > 0, w, 0.0)
+    w_neg = np.where(y < 0, w, 0.0)
+    total_pos = w_pos.sum()
+    total_neg = w_neg.sum()
+    best = None
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        ks = np.concatenate(([0], np.flatnonzero(np.diff(v) > 0) + 1))
+        cum_pos = np.concatenate(([0.0], np.cumsum(w_pos[order])))
+        cum_neg = np.concatenate(([0.0], np.cumsum(w_neg[order])))
+        err_plus = cum_pos[ks] + (total_neg - cum_neg[ks])
+        err_minus = cum_neg[ks] + (total_pos - cum_pos[ks])
+        errs = np.empty(2 * ks.size)
+        errs[0::2] = err_plus
+        errs[1::2] = err_minus
+        local = int(np.argmin(errs))
+        err = float(errs[local])
+        if best is not None and err >= best[0]:
+            continue
+        k = int(ks[local // 2])
+        polarity = 1 if local % 2 == 0 else -1
+        threshold = v[0] - 1.0 if k == 0 else 0.5 * (v[k - 1] + v[k])
+        best = (err, j, float(threshold), polarity)
+    return best
+
+
+class TestVectorizedScan:
+    def random_problem(self, rng, trial):
+        n = 1 if trial % 25 == 0 else int(rng.integers(2, 40))
+        d = 1 if trial % 7 == 0 else int(rng.integers(2, 8))
+        kind = trial % 4
+        if kind == 0:  # heavy ties
+            X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        elif kind == 1:  # continuous
+            X = rng.standard_normal((n, d))
+        elif kind == 2:  # rounded values and one constant column
+            X = np.round(rng.standard_normal((n, d)), 1)
+            X[:, rng.integers(0, d)] = 1.5
+        else:  # binary, tiny scale
+            X = rng.integers(0, 2, size=(n, d)) * 1e-3
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        w = rng.random(n) * (rng.random(n) < 0.7)  # ~30% zero weights
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        return X, y, w / w.sum()
+
+    def test_matches_loop_reference_exactly(self):
+        """Feature, threshold, polarity and error equal the per-feature
+        loop bit for bit, ties included."""
+        rng = np.random.default_rng(44)
+        for trial in range(400):
+            X, y, w = self.random_problem(rng, trial)
+            stump, err = train_stump(X, y, w)
+            want = loop_stump(X, y, w)
+            assert (err, stump.feature_index, stump.threshold, stump.polarity) == want
+            assert err.hex() == want[0].hex(), trial
+
+    def test_presorted_view_gives_the_same_stump(self):
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 4, size=(30, 5)).astype(np.float64)
+        y = np.where(rng.random(30) < 0.4, 1.0, -1.0)
+        w = uniform_weights(30)
+        assert train_stump(X, y, w, boosting.presort(X)) == train_stump(X, y, w)
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("X", [
+        [[np.nan], [1.0], [2.0]],
+        [[np.inf], [1.0], [2.0]],
+        [[0.0, -np.inf], [1.0, 0.0], [2.0, 1.0]],
+    ])
+    def test_non_finite_X_rejected(self, X):
+        with pytest.raises(DataError):
+            train_stump(X, np.array([1.0, -1.0, 1.0]), uniform_weights(3))
+        with pytest.raises(DataError):
+            train(X, np.array([1, 0, 1]), rounds=2)
+
+    def test_X_shape_rejected(self):
+        y, w = np.array([1.0, -1.0, 1.0]), uniform_weights(3)
+        with pytest.raises(DataError):
+            train_stump(np.zeros((3, 0)), y, w)
+        with pytest.raises(DataError):
+            train_stump(np.zeros(3), y, w)
+        with pytest.raises(DataError):
+            train(np.zeros((3, 0)), np.array([1, 0, 1]), rounds=2)
+
+    def test_y_and_w_length_must_match_rows(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(DataError):
+            train_stump(X, np.array([1.0, -1.0]), uniform_weights(3))
+        with pytest.raises(DataError):
+            train_stump(X, np.array([1.0, -1.0, 1.0]), uniform_weights(2))
+
+    def test_model_without_stumps_rejected(self):
+        with pytest.raises(DataError):
+            AdaBoostModel.from_json('{"stumps": []}')
+        with pytest.raises(DataError):
+            AdaBoostModel(stumps=()).margins(np.zeros((2, 1)))

@@ -190,6 +190,44 @@ class TestSelectFeatures:
             SelectionConfig(swarm=swarm.SwarmConfig(dimensions=4), split_seed=-1)
         assert "split_seed" in str(err.value)
 
+    def test_golden_run_is_frozen(self):
+        """Values recorded before the presorted stump scan and the loss
+        memo; any drift in the evaluator's bits changes them."""
+        ds = synth(n=60, d_inf=3, d_noise=5, seed=3)
+        res = select_features(ds, sel_cfg(ds.d, max_evaluations=40, seed=3))
+        assert res.best_mask.tolist() == [1, 0, 1, 1, 1, 1, 1, 0]
+        assert res.importance.tolist() == [22, 18, 23, 20, 22, 19, 18, 20]
+        assert res.min_popcount == 2
+        assert res.loss.hex() == "-0x1.57c7d994df1f6p+2"
+        assert [float(v).hex() for v in res.fitness_trace] == [
+            "-0x1.55fad40a57eb5p+2"] + ["-0x1.57c7d994df1f6p+2"] * 4
+
+    def test_repeated_masks_are_trained_once(self, monkeypatch):
+        """The per-run loss memo trains each distinct repaired mask once,
+        plus one refit of the best mask; importance still counts every
+        evaluation."""
+        repaired, train_calls = [], []
+        real_repair, real_train = selection.repair, selection.boosting.train
+
+        def counting_repair(*args):
+            repaired.append(real_repair(*args))
+            return repaired[-1]
+
+        def counting_train(*args, **kwargs):
+            train_calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "repair", counting_repair)
+        monkeypatch.setattr(selection.boosting, "train", counting_train)
+        ds = synth(n=60, d_inf=2, d_noise=4, seed=5)
+        res = select_features(ds, sel_cfg(ds.d, max_evaluations=80, seed=5))
+        evaluated = repaired[:-1]  # the last repair rebuilds the best mask
+        assert len(evaluated) == res.evaluations == 80
+        distinct = {m.tobytes() for m in evaluated}
+        assert len(distinct) < len(evaluated)  # the memo had hits
+        assert len(train_calls) == len(distinct) + 1
+        assert res.importance.sum() == sum(int(m.sum()) for m in evaluated)
+
 
 class TestAnovaF:
     def test_matches_manual_formula(self):
