@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +84,26 @@ class AdaBoostModel:
 
     @classmethod
     def from_json(cls, text: str) -> "AdaBoostModel":
-        doc = json.loads(text)
-        stumps = tuple(
-            Stump(
-                feature_index=int(r["feature_index"]),
-                threshold=float(r["threshold"]),
-                polarity=int(r["polarity"]),
-                alpha=float(r["alpha"]),
+        """Parse ``to_json`` output; DataError for any malformed record."""
+        try:  # a json.JSONDecodeError is a ValueError
+            stumps = tuple(
+                Stump(
+                    feature_index=operator.index(r["feature_index"]),
+                    threshold=float(r["threshold"]),
+                    polarity=operator.index(r["polarity"]),
+                    alpha=float(r["alpha"]),
+                )
+                for r in json.loads(text)["stumps"]
             )
-            for r in doc["stumps"]
-        )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError("bad model record (%s: %s)" % (type(exc).__name__, exc)) from None
+        for i, s in enumerate(stumps):
+            if s.feature_index < 0:
+                raise DataError("stump %d: feature_index must be >= 0" % i)
+            if s.polarity not in (-1, 1):
+                raise DataError("stump %d: polarity must be -1 or +1" % i)
+            if not (math.isfinite(s.threshold) and math.isfinite(s.alpha)):
+                raise DataError("stump %d: threshold and alpha must be finite" % i)
         return cls(stumps=stumps)
 
 

@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sparksel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **extra):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -162,20 +162,23 @@ def _envelope(command, variant, label, cfg, seeds, runs, aggregate):
     }
 
 
-def _emit(doc, out_dir, basename, started) -> str:
+def _emit(doc, out_dir, basename, started) -> None:
     doc["wall_time_s"] = time.perf_counter() - started
     path = os.path.join(out_dir, basename + ".json")
     _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print("wrote %s" % path)
-    return path
 
 
-def _write_atomic(path, text) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+def _write_atomic(path, content) -> None:
+    """Write ``content`` (UTF-8 text, or a function that writes the file it
+    is given) to a temp file beside ``path``, then rename it over ``path``."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if isinstance(content, str):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    else:
+        content(tmp)
     os.replace(tmp, path)
 
 
@@ -320,10 +323,7 @@ def _synth_runs(cfg: ExperimentConfig, seeds, out_dir):
     for seed in seeds:
         ds = _dataset_for_seed(cfg.with_overrides({"data.path": ""}), seed)
         path = os.path.join(out_dir, "synth_%d.csv" % seed)
-        os.makedirs(out_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        save_csv(ds, tmp)
-        os.replace(tmp, path)
+        _write_atomic(path, lambda tmp: save_csv(ds, tmp))
         runs.append(
             {
                 "seed": seed,
@@ -396,11 +396,9 @@ def _ippg_runs(cfg: ExperimentConfig, seeds, out_dir):
         fore = make(2 * seed)
         nose = make(2 * seed + 1)
         if cfg.get("ippg.emit_frames"):
-            os.makedirs(out_dir, exist_ok=True)
             for tag, seq in (("fore", fore), ("nose", nose)):
                 path = os.path.join(out_dir, "frames_%s_%d.ippg" % (tag, seed))
-                ippg.write_frames(seq, path + ".tmp")
-                os.replace(path + ".tmp", path)
+                _write_atomic(path, lambda tmp: ippg.write_frames(seq, tmp))
         runs.append(_ippg_entry(fore, nose, seed, injected))
     aggregate = {
         "median_hr_error_hz": statistics.median(r["hr_error_hz"] for r in runs),
@@ -465,6 +463,8 @@ def _compare(cfg: ExperimentConfig, out_dir, started) -> None:
         )
 
     table = _render_table(rows)
+    _write_atomic(os.path.join(out_dir, "compare.txt"), table)
+    print(table, end="")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": "sparksel",
@@ -473,12 +473,7 @@ def _compare(cfg: ExperimentConfig, out_dir, started) -> None:
         "config": cfg.echo(),
         "rows": rows,
     }
-    doc["wall_time_s"] = time.perf_counter() - started
-    json_path = os.path.join(out_dir, "compare.json")
-    _write_atomic(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_atomic(os.path.join(out_dir, "compare.txt"), table)
-    print(table, end="")
-    print("wrote %s" % json_path)
+    _emit(doc, out_dir, "compare", started)
 
 
 def _render_table(rows) -> str:

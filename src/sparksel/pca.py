@@ -1,8 +1,7 @@
-"""Principal component analysis with a cyclic Jacobi eigensolver.
+"""Principal component analysis on LAPACK's symmetric eigensolver.
 
-The covariance matrix (n - 1 normalization) is diagonalized by plane
-rotations swept over all index pairs until the off-diagonal Frobenius
-norm drops below 1e-10.  Component count k is the smallest prefix of
+The covariance matrix (n - 1 normalization) is diagonalized by
+``numpy.linalg.eigh``.  Component count k is the smallest prefix of
 the descending eigenvalue sequence whose cumulative explained-variance
 ratio reaches the requested threshold.
 """
@@ -13,74 +12,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InvariantError
-
-OFF_DIAG_TOL = 1e-10
-MAX_SWEEPS = 100
+from .errors import DataError
 
 
-def jacobi_eigh(A):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eigh(A):
+    """Eigendecomposition of a symmetric matrix by ``numpy.linalg.eigh``.
 
     Returns (eigenvalues, vectors) with eigenvalues descending and
     vectors[i] the unit eigenvector for eigenvalues[i], sign-fixed so
-    each vector's largest-magnitude entry is positive.
+    each vector's largest-magnitude entry is positive.  Equal
+    eigenvalues keep LAPACK's order (stable sort).
     """
-    A = np.array(A, dtype=np.float64)
-    d = A.shape[0]
-    if A.shape != (d, d) or not np.allclose(A, A.T, atol=1e-12):
-        raise DataError("jacobi_eigh needs a symmetric square matrix")
-    V = np.eye(d)
-
-    off_mask = ~np.eye(d, dtype=bool)
-
-    def off(M):
-        # sum only the off-diagonal squares; subtracting diag(M)^2 from
-        # the full Frobenius norm cancels catastrophically near zero
-        return float(np.sqrt(np.sum(M[off_mask] ** 2)))
-
-    sweeps = 0
-    while off(A) >= OFF_DIAG_TOL:
-        if sweeps >= MAX_SWEEPS:
-            raise InvariantError("jacobi sweep limit hit; off=%g" % off(A))
-        sweeps += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-
-    vals = np.diag(A).copy()
+    A = np.asarray(A, dtype=np.float64)
+    if (A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0
+            or not np.isfinite(A).all() or not np.allclose(A, A.T, atol=1e-12)):
+        raise DataError("eigh needs a finite, non-empty, symmetric square matrix")
+    vals, cols = np.linalg.eigh(A)
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = V[:, order].T.copy()
-    for i in range(d):
-        peak = int(np.argmax(np.abs(vecs[i])))
-        if vecs[i, peak] < 0.0:
-            vecs[i] = -vecs[i]
-    return vals, vecs
+    vecs = cols[:, order].T
+    peaks = vecs[np.arange(len(vecs)), np.abs(vecs).argmax(axis=1)]
+    return vals[order], np.where(peaks < 0.0, -1.0, 1.0)[:, None] * vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +78,15 @@ def fit(X, variance_threshold: float = 0.95) -> PCAModel:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError("PCA needs a 2-D matrix with at least 2 rows")
+    if not np.isfinite(X).all():
+        raise DataError("PCA needs finite values; X holds NaN or inf")
     if not 0.0 < variance_threshold <= 1.0:
         raise DataError("variance_threshold must lie in (0, 1]")
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / (X.shape[0] - 1)
-    vals, vecs = jacobi_eigh(cov)
-    vals = np.maximum(vals, 0.0)  # covariance is PSD; clip rotation dust
+    vals, vecs = eigh(cov)
+    vals = np.maximum(vals, 0.0)  # covariance is PSD; clip rounding dust
 
     total = float(vals.sum())
     if total == 0.0:

@@ -35,7 +35,7 @@ from sparksel.metrics import (
     sensitivity,
     specificity,
 )
-from sparksel.pca import fit, jacobi_eigh
+from sparksel.pca import eigh, fit
 from sparksel.selection import SelectionConfig, discretize, fitness, select_features
 
 
@@ -274,7 +274,7 @@ def test_11_eigen_decomposition_conserves_variance():
         X = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
         Xc = X - X.mean(axis=0)
         cov = Xc.T @ Xc / n
-        vals, vecs = jacobi_eigh(cov)
+        vals, vecs = eigh(cov)
         assert abs(vals.sum() - np.trace(cov)) <= 1e-8
         assert np.abs(vecs @ vecs.T - np.eye(d)).max() <= 1e-8
         model = fit(X)

@@ -291,3 +291,50 @@ class TestBadInputs:
             AdaBoostModel.from_json('{"stumps": []}')
         with pytest.raises(DataError):
             AdaBoostModel(stumps=()).margins(np.zeros((2, 1)))
+
+
+GOOD_RECORD = {"feature_index": 0, "threshold": 0.5, "polarity": 1, "alpha": 0.3}
+
+
+def model_text(**changes):
+    """A one-stump model document with ``changes`` applied to its record;
+    a value of None drops the key."""
+    rec = {k: v for k, v in {**GOOD_RECORD, **changes}.items() if v is not None}
+    return json.dumps({"stumps": [rec]})
+
+
+class TestFromJsonValidation:
+    def test_good_record_parses(self):
+        model = AdaBoostModel.from_json(model_text())
+        assert model.stumps == (Stump(0, 0.5, 1, 0.3),)
+
+    @pytest.mark.parametrize("text", ["{}", "[]", '{"stumps": {}}', "not json"])
+    def test_missing_stumps_list(self, text):
+        with pytest.raises(DataError):
+            AdaBoostModel.from_json(text)
+
+    @pytest.mark.parametrize("key", sorted(GOOD_RECORD))
+    def test_missing_key(self, key):
+        with pytest.raises(DataError, match="KeyError"):
+            AdaBoostModel.from_json(model_text(**{key: None}))
+
+    def test_negative_feature_index(self):
+        with pytest.raises(DataError, match="feature_index"):
+            AdaBoostModel.from_json(model_text(feature_index=-1))
+
+    @pytest.mark.parametrize("polarity", [0, 3, -2])
+    def test_polarity_outside_plus_minus_one(self, polarity):
+        with pytest.raises(DataError, match="polarity"):
+            AdaBoostModel.from_json(model_text(polarity=polarity))
+
+    @pytest.mark.parametrize("change", [{"feature_index": 1.7}, {"polarity": -1.0}])
+    def test_non_integer_index_or_polarity(self, change):
+        with pytest.raises(DataError, match="TypeError"):
+            AdaBoostModel.from_json(model_text(**change))
+
+    @pytest.mark.parametrize("key", ["threshold", "alpha"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_threshold_or_alpha(self, key, value):
+        # json.dumps writes Infinity/NaN, which json.loads reads back
+        with pytest.raises(DataError, match="finite"):
+            AdaBoostModel.from_json(model_text(**{key: value}))

@@ -1,4 +1,7 @@
-"""Jacobi eigensolver and the variance-threshold PCA built on it."""
+"""The LAPACK-backed eigensolver ``pca.eigh`` and the variance-threshold
+PCA built on it."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -10,14 +13,14 @@ from sparksel.errors import DataError
 class TestJacobi:
     def test_diagonal_matrix_is_fixed_point(self):
         A = np.diag([4.0, 1.0])
-        vals, vecs = pca.jacobi_eigh(A)
+        vals, vecs = pca.eigh(A)
         np.testing.assert_allclose(vals, [4.0, 1.0], atol=1e-14)
         np.testing.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-14)
 
     def test_known_2x2(self):
         # eigenvalues of [[2,1],[1,2]] are 3 and 1 with (1,1)/(1,-1) axes
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        vals, vecs = pca.jacobi_eigh(A)
+        vals, vecs = pca.eigh(A)
         np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(vecs[:, 0]), np.sqrt([0.5, 0.5]),
                                    atol=1e-12)
@@ -28,7 +31,7 @@ class TestJacobi:
             d = int(rng.integers(2, 9))
             M = rng.standard_normal((d, d))
             A = (M + M.T) / 2.0
-            vals, vecs = pca.jacobi_eigh(A)
+            vals, vecs = pca.eigh(A)
             # rows of vecs are eigenvectors: A = sum_i vals[i] v_i v_i^T
             np.testing.assert_allclose(vecs.T @ np.diag(vals) @ vecs, A,
                                        atol=1e-9)
@@ -41,12 +44,12 @@ class TestJacobi:
             d = int(rng.integers(2, 10))
             M = rng.standard_normal((d, d))
             A = M @ M.T
-            vals, _ = pca.jacobi_eigh(A)
+            vals, _ = pca.eigh(A)
             assert vals.sum() == pytest.approx(np.trace(A), abs=1e-8)
 
     def test_asymmetric_input_rejected(self):
         with pytest.raises(DataError):
-            pca.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            pca.eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestFit:
@@ -137,3 +140,63 @@ class TestFit:
         assert np.array_equal(a.components, b.components)
         for row in a.components:
             assert row[np.argmax(np.abs(row))] > 0
+
+
+def assert_sign_convention(vecs):
+    for row in vecs:
+        assert row[np.argmax(np.abs(row))] > 0
+
+
+class TestEigh:
+    def test_rank_deficient_wide_covariance(self):
+        """24 rows of 60 columns, the shape of the iPPG time-domain block:
+        rank 23, so 37 eigenvalues are zero up to rounding."""
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((24, 60)) * rng.uniform(0.1, 3.0, size=60)
+        Xc = X - X.mean(axis=0)
+        cov = Xc.T @ Xc / 23
+        vals, vecs = pca.eigh(cov)
+        assert abs(vals.sum() - np.trace(cov)) <= 1e-8
+        assert np.abs(vecs @ vecs.T - np.eye(60)).max() <= 1e-8
+        assert np.all(np.diff(vals) <= 0.0)
+        assert_sign_convention(vecs)
+        assert np.abs(vals[23:]).max() <= 1e-10
+
+    def test_repeated_eigenvalue(self):
+        Q, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((3, 3)))
+        A = Q @ np.diag([2.0, 2.0, 1.0]) @ Q.T
+        A = (A + A.T) / 2.0
+        vals, vecs = pca.eigh(A)
+        np.testing.assert_allclose(vals, [2.0, 2.0, 1.0], atol=1e-12)
+        assert np.all(np.diff(vals) <= 0.0)
+        np.testing.assert_allclose(vecs.T @ np.diag(vals) @ vecs, A, atol=1e-12)
+        assert_sign_convention(vecs)
+        vals2, vecs2 = pca.eigh(A.copy())
+        assert np.array_equal(vals, vals2)
+        assert np.array_equal(vecs, vecs2)
+
+    @pytest.mark.parametrize("A", [
+        np.zeros((0, 0)),
+        np.zeros(3),
+        np.ones((2, 3)),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ])
+    def test_malformed_input_rejected(self, A):
+        with pytest.raises(DataError):
+            pca.eigh(A)
+
+
+class TestFitInputs:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_named(self, bad):
+        X = np.random.default_rng(23).standard_normal((10, 3))
+        X[4, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(DataError, match="NaN or inf"):
+                pca.fit(X)
+
+    def test_zero_columns_rejected(self):
+        with pytest.raises(DataError):
+            pca.fit(np.zeros((5, 0)))
