@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +84,20 @@ class AdaBoostModel:
     @classmethod
     def from_json(cls, text: str) -> "AdaBoostModel":
         """Parse ``to_json`` output; DataError for any malformed record."""
+
+        def field(r, key, types):
+            # exact types: JSON true/false are bools, which int would pass
+            if type(r[key]) not in types:
+                raise TypeError("%s is %r" % (key, r[key]))
+            return r[key]
+
         try:  # a json.JSONDecodeError is a ValueError
             stumps = tuple(
                 Stump(
-                    feature_index=operator.index(r["feature_index"]),
-                    threshold=float(r["threshold"]),
-                    polarity=operator.index(r["polarity"]),
-                    alpha=float(r["alpha"]),
+                    feature_index=field(r, "feature_index", (int,)),
+                    threshold=float(field(r, "threshold", (int, float))),
+                    polarity=field(r, "polarity", (int,)),
+                    alpha=float(field(r, "alpha", (int, float))),
                 )
                 for r in json.loads(text)["stumps"]
             )

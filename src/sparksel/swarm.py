@@ -85,6 +85,28 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def entropy_words(v: int) -> list:
+    """The little-endian uint32 words SeedSequence reads from an int >= 0."""
+    return [v >> s & 0xFFFFFFFF for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def rekey(rng: np.random.Generator, entropy) -> np.random.Generator:
+    """Restart the Philox behind ``rng`` in place on the stream that
+    child_rng gives for the same SeedSequence entropy, passed as uint32
+    words: after ``rekey(rng, entropy_words(seed) + entropy_words(gen)
+    + [i, j])``, ``rng`` draws what ``child_rng(seed, gen, i, j)`` draws.
+    It builds no Philox and coerces no ints, so it costs about half a
+    child_rng call; the stream ``rng`` held before is gone."""
+    ss = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
+    zero = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zero, "key": ss.generate_state(2, np.uint64)},
+        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
 # --- benchmark objectives ------------------------------------------------
 
 def sphere(x) -> float:
@@ -161,9 +183,10 @@ def _nonempty_dim_subsets(count, d, rng):
     m = rng.integers(0, 2, size=(count, d)).astype(bool)
     while True:
         empty = ~m.any(axis=1)
-        if not empty.any():
+        k = np.count_nonzero(empty)
+        if not k:
             return m
-        m[empty] = rng.integers(0, 2, size=(int(empty.sum()), d)).astype(bool)
+        m[empty] = rng.integers(0, 2, size=(k, d)).astype(bool)
 
 
 def map_to_bounds(x, rng):
@@ -171,7 +194,7 @@ def map_to_bounds(x, rng):
     in-range coordinates pass through untouched."""
     x = np.array(x, dtype=np.float64)
     bad = (x < 0.0) | (x > 1.0)
-    n_bad = int(bad.sum())
+    n_bad = np.count_nonzero(bad)
     if n_bad:
         x[bad] = rng.uniform(0.0, 1.0, size=n_bad)
     return x
@@ -308,6 +331,7 @@ def _run_fireworks(cfg, budget):
     if f.size < n:
         return trace
     pbest_x, pbest_f = X.copy(), f.copy()
+    spark_rng = np.random.Generator(np.random.Philox(0))  # re-keyed per spark
 
     gen = 0
     while budget.remaining > 0:
@@ -321,17 +345,18 @@ def _run_fireworks(cfg, budget):
             radii = fa_radius(f, cfg)
             around_best = np.zeros(n, dtype=bool)
 
+        # one stream per (generation, firework, spark) tuple
+        head = entropy_words(cfg.seed) + entropy_words(gen)
         groups = []
         for i in range(n):
-            # one stream per (generation, firework, spark) tuple
             for j in range(int(counts[i])):
-                rng_ij = child_rng(cfg.seed, gen, i + 1, j)
+                rng_ij = rekey(spark_rng, head + [i + 1, j])
                 if around_best[i]:
                     groups.append(explode_around_best(core, 1, rng_ij))
                 else:
                     groups.append(explode(X[i], float(radii[i]), 1, rng_ij))
         for j in range(cfg.gaussian_sparks):
-            rng_mj = child_rng(cfg.seed, gen, n + 1, j)
+            rng_mj = rekey(spark_rng, head + [n + 1, j])
             donor = int(rng_mj.integers(n))
             groups.append(gaussian_mutate(X[donor], rng_mj)[None, :])
 

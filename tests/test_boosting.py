@@ -327,10 +327,19 @@ class TestFromJsonValidation:
         with pytest.raises(DataError, match="polarity"):
             AdaBoostModel.from_json(model_text(polarity=polarity))
 
-    @pytest.mark.parametrize("change", [{"feature_index": 1.7}, {"polarity": -1.0}])
+    @pytest.mark.parametrize("change", [
+        {"feature_index": 1.7}, {"polarity": -1.0}, {"feature_index": True},
+        {"feature_index": "0"}, {"polarity": True}, {"polarity": False},
+    ])
     def test_non_integer_index_or_polarity(self, change):
         with pytest.raises(DataError, match="TypeError"):
             AdaBoostModel.from_json(model_text(**change))
+
+    @pytest.mark.parametrize("key", ["threshold", "alpha"])
+    @pytest.mark.parametrize("value", ["0.5", True, [0.5]])
+    def test_non_number_threshold_or_alpha(self, key, value):
+        with pytest.raises(DataError, match="TypeError"):
+            AdaBoostModel.from_json(model_text(**{key: value}))
 
     @pytest.mark.parametrize("key", ["threshold", "alpha"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

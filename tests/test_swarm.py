@@ -231,6 +231,33 @@ class TestChildRng:
         }
         assert len(draws) == 5
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("gen", [1, 7, 2**32])
+    def test_rekey_matches_child_rng(self, seed, gen):
+        # one Generator re-keyed slot after slot; odd uint32 counts leave
+        # half a Philox word buffered, which the next re-key must drop
+        rng = np.random.Generator(np.random.Philox(0))
+        head = swarm.entropy_words(seed) + swarm.entropy_words(gen)
+        for slot in [(i, j) for i in (1, 2, 9) for j in range(3)] + [(2**32 - 1, 0)]:
+            assert swarm.rekey(rng, head + list(slot)) is rng
+            got, want = (
+                np.concatenate([r.integers(0, 2, size=3), r.uniform(size=2),
+                                r.standard_normal(3), r.permutation(5)])
+                for r in (rng, child_rng(seed, gen, *slot))
+            )
+            assert np.array_equal(got, want)
+
+    def test_fireworks_runs_are_frozen(self):
+        # recorded with a fresh child_rng per spark, before the re-keying
+        want = {"ifa": ("0x1.d60f3c5780000p-12", 24, "0x1.7aeef3337854ap-9"),
+                "fa": ("0x1.1edd53ae7efc0p-1", 25, "0x1.9bfa297359692p-4")}
+        for algo, (best, gens, x_sum) in want.items():
+            r = optimize(rastrigin, cfg(dimensions=5, max_evaluations=600,
+                                        seed=2**32 + 3, algorithm=algo))
+            assert r.best_fitness.hex() == best
+            assert (r.evaluations_used, len(r.fitness_trace)) == (600, gens)
+            assert float(np.sum(r.best_x)).hex() == x_sum
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
