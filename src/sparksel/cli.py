@@ -37,7 +37,7 @@ from .data import SynthSpec, generate_synthetic, load_csv, save_csv, stratified_
 from .errors import ConfigError, DataError, InvariantError
 
 ENV_OUT_DIR = "SPARKSEL_OUT"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):

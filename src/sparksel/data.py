@@ -1,4 +1,4 @@
-"""Labeled numeric datasets: CSV I/O, synthesis, splitting, standardization.
+"""Labeled numeric datasets: CSV I/O, synthesis and stratified splitting.
 
 Datasets are dense float64 matrices with a binary label per row
 (1 = positive class).  All randomness is seeded and every operation
@@ -72,14 +72,6 @@ class SplitPair:
 
     train: Dataset
     test: Dataset
-
-
-@dataclass(frozen=True, eq=False)
-class ColumnStats:
-    """Per-column location/scale record produced by ``standardize``."""
-
-    mean: np.ndarray
-    scale: np.ndarray
 
 
 def load_csv(path) -> Dataset:
@@ -271,25 +263,3 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int) -> SplitPair:
 
     return SplitPair(train=take(~test_mask), test=take(test_mask))
 
-
-def standardize(split: SplitPair):
-    """Center and scale both sides using train-side statistics only.
-
-    Returns the transformed pair and the per-column (mean, scale)
-    record.  Scale is the population standard deviation; zero-variance
-    columns get scale 1 so the train side maps to exact zeros.
-    """
-    mean = split.train.features.mean(axis=0)
-    scale = split.train.features.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-
-    def apply(ds):
-        return Dataset(
-            (ds.features - mean) / scale,
-            ds.labels,
-            ds.feature_names,
-            informative=ds.informative,
-        )
-
-    pair = SplitPair(train=apply(split.train), test=apply(split.test))
-    return pair, ColumnStats(mean=mean, scale=scale)

@@ -58,6 +58,8 @@ class FrameSequence:
         p = self.pixels
         if p.ndim != 4 or p.shape[3] != 3:
             raise DataError("pixels must be [T', H, W, 3], got %s" % (p.shape,))
+        if p.shape[1] == 0 or p.shape[2] == 0:
+            raise DataError("frames must be nonempty, got %d x %d" % p.shape[1:3])
         if p.dtype != np.uint8:
             raise DataError("pixels must be u8, got %s" % p.dtype)
         if self.fps < 1:
@@ -81,21 +83,12 @@ class IppgSignal:
     roi_tag: str
 
 
-def mean_pixel(frame) -> np.ndarray:
-    """Per-channel mean over one H x W x C frame.
-
-    Pixels are summed as exact integers before the single division, so
-    the result is independent of traversal order.
-    """
-    frame = np.asarray(frame)
-    if frame.ndim != 3 or frame.shape[0] == 0 or frame.shape[1] == 0:
-        raise DataError("frame must be a nonempty H x W x C tensor")
-    h, w = frame.shape[:2]
-    return frame.astype(np.int64).sum(axis=(0, 1)) / float(h * w)
-
-
 def build_signal(frames: FrameSequence, roi_tag: str) -> IppgSignal:
-    """Stack mean_pixel over all frames into the C x T' signal matrix."""
+    """Per-channel mean of every frame as the C x T' signal matrix.
+
+    Pixels are summed as exact integers before one division per value,
+    so the result is independent of traversal order.
+    """
     if roi_tag not in ROI_TAGS:
         raise DataError("roi_tag must be one of %s" % (ROI_TAGS,))
     t, h, w, c = frames.pixels.shape

@@ -6,9 +6,12 @@ personal-best fitness history and re-centers the best firework's
 sparks with multiplicative Gaussian spread, global-best PSO with
 inertia, and the standard bat algorithm (BA).
 
-Determinism: every random draw comes from a counter-based stream keyed
-by (seed, generation, firework, spark), and the objective is evaluated
-on the calling thread in batch order, so equal seeds give bit-identical
+Determinism: every random draw comes from a counter-based Philox
+stream keyed by (seed, generation, role).  A fireworks generation draws
+its explosion sparks from role 1, its Gaussian-mutation sparks from
+role 2 and its survivors from role 3, each as whole arrays; PSO and BA
+draw a generation from role 0.  The objective is evaluated on the
+calling thread in batch order, so equal seeds give bit-identical
 results.
 """
 
@@ -83,28 +86,6 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     """Independent counter-based stream for one (generation, role) slot."""
     ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def entropy_words(v: int) -> list:
-    """The little-endian uint32 words SeedSequence reads from an int >= 0."""
-    return [v >> s & 0xFFFFFFFF for s in range(0, max(v.bit_length(), 1), 32)]
-
-
-def rekey(rng: np.random.Generator, entropy) -> np.random.Generator:
-    """Restart the Philox behind ``rng`` in place on the stream that
-    child_rng gives for the same SeedSequence entropy, passed as uint32
-    words: after ``rekey(rng, entropy_words(seed) + entropy_words(gen)
-    + [i, j])``, ``rng`` draws what ``child_rng(seed, gen, i, j)`` draws.
-    It builds no Philox and coerces no ints, so it costs about half a
-    child_rng call; the stream ``rng`` held before is gone."""
-    ss = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
-    zero = np.zeros(4, dtype=np.uint64)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": zero, "key": ss.generate_state(2, np.uint64)},
-        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
 
 
 # --- benchmark objectives ------------------------------------------------
@@ -203,13 +184,13 @@ def map_to_bounds(x, rng):
 def explode(x, radius, count, rng):
     """Scalar-radius explosion: ``count`` sparks, each offsetting a
     uniformly chosen nonempty dimension subset by radius*U(-1,1) per
-    chosen dimension, then bound-mapped."""
+    chosen dimension, then bound-mapped.  ``x`` and ``radius`` are one
+    firework's, or one row and one radius per spark."""
     x = np.asarray(x, dtype=np.float64)
-    d = x.size
+    d = x.shape[-1]
     chosen = _nonempty_dim_subsets(count, d, rng)
-    offsets = radius * rng.uniform(-1.0, 1.0, size=(count, d))
-    sparks = x[None, :] + np.where(chosen, offsets, 0.0)
-    return map_to_bounds(sparks, rng)
+    offsets = np.reshape(radius, (-1, 1)) * rng.uniform(-1.0, 1.0, size=(count, d))
+    return map_to_bounds(x + np.where(chosen, offsets, 0.0), rng)
 
 
 def explode_around_best(best_x, count, rng):
@@ -222,13 +203,14 @@ def explode_around_best(best_x, count, rng):
 
 
 def gaussian_mutate(x, rng):
-    """Gaussian mutation spark: one draw g~N(1,1) scales a uniformly
-    chosen nonempty dimension subset, then bound-mapping."""
-    x = np.array(x, dtype=np.float64)
-    chosen = _nonempty_dim_subsets(1, x.size, rng)[0]
-    g = 1.0 + rng.standard_normal()
-    x[chosen] *= g
-    return map_to_bounds(x, rng)
+    """Gaussian mutation sparks: per row of ``x`` (one point, or one
+    donor per spark), one draw g~N(1,1) scales a uniformly chosen
+    nonempty dimension subset, then bound-mapping."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.atleast_2d(x)
+    chosen = _nonempty_dim_subsets(len(rows), x.shape[-1], rng)
+    g = 1.0 + rng.standard_normal(len(rows))
+    return map_to_bounds(np.where(chosen, rows * g[:, None], rows).reshape(x.shape), rng)
 
 
 def select_next(fitnesses, n_keep, rng):
@@ -331,7 +313,6 @@ def _run_fireworks(cfg, budget):
     if f.size < n:
         return trace
     pbest_x, pbest_f = X.copy(), f.copy()
-    spark_rng = np.random.Generator(np.random.Philox(0))  # re-keyed per spark
 
     gen = 0
     while budget.remaining > 0:
@@ -340,31 +321,26 @@ def _run_fireworks(cfg, budget):
         counts = spark_count(f, cfg)
         if improved:
             radii, around_best = ifa_radius(pbest_f, counts, cfg)
-            core = X[int(np.argmin(f))]
         else:
             radii = fa_radius(f, cfg)
             around_best = np.zeros(n, dtype=bool)
 
-        # one stream per (generation, firework, spark) tuple
-        head = entropy_words(cfg.seed) + entropy_words(gen)
-        groups = []
-        for i in range(n):
-            for j in range(int(counts[i])):
-                rng_ij = rekey(spark_rng, head + [i + 1, j])
-                if around_best[i]:
-                    groups.append(explode_around_best(core, 1, rng_ij))
-                else:
-                    groups.append(explode(X[i], float(radii[i]), 1, rng_ij))
-        for j in range(cfg.gaussian_sparks):
-            rng_mj = rekey(spark_rng, head + [n + 1, j])
-            donor = int(rng_mj.integers(n))
-            groups.append(gaussian_mutate(X[donor], rng_mj)[None, :])
+        # one row per spark, in firework order; role 1 draws them all
+        owner = np.repeat(np.arange(n), counts)
+        near = around_best[owner]
+        far = owner[~near]
+        rng = child_rng(cfg.seed, gen, 1)
+        sparks = np.empty((owner.size, cfg.dimensions))
+        sparks[~near] = explode(X[far], radii[far], far.size, rng)
+        sparks[near] = explode_around_best(X[int(np.argmin(f))], owner.size - far.size, rng)
+        rng = child_rng(cfg.seed, gen, 2)
+        donors = rng.integers(n, size=cfg.gaussian_sparks)
+        sparks = np.vstack([sparks, gaussian_mutate(X[donors], rng)])
 
-        sparks = np.vstack(groups)
         f_sparks = budget.eval_batch(sparks)
         pool_x = np.vstack([X, sparks[: f_sparks.size]])
         pool_f = np.concatenate([f, f_sparks])
-        sel = select_next(pool_f, n, child_rng(cfg.seed, gen, n + 2))
+        sel = select_next(pool_f, n, child_rng(cfg.seed, gen, 3))
         X, f = pool_x[sel], pool_f[sel]
         trace.append(budget.best_f)
     return trace

@@ -4,6 +4,7 @@ and the compare table."""
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import sparksel
 from sparksel import config as cfgmod
 from sparksel.cli import main
 from sparksel.config import default_config, parse_config, serialize_config
@@ -223,7 +225,7 @@ class TestSelectCommand:
         out = capsys.readouterr().out
         assert "select.json" in out
         doc = load_report(tmp_path / "select.json")
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["command"] == "select"
         assert doc["seeds"] == [0]
         assert "threads" not in doc["config"]
@@ -391,6 +393,27 @@ class TestOtherCommands:
         assert sorted(agg["ranking"]) == list(range(6))
         totals = agg["importance_total"]
         assert totals[agg["ranking"][0]] == max(totals)
+
+
+def test_reports_identical_across_processes(tmp_path):
+    """select and bench sphere, each run in two fresh interpreters with
+    different hash seeds, write byte-identical reports once the
+    wall-time field is masked: no result depends on dict or set order
+    or on import-time state."""
+    cfg = write_config(tmp_path, QUICK)
+    src = os.path.dirname(os.path.dirname(sparksel.__file__))
+    for args, name in ((["select"], "select.json"), (["bench", "sphere"], "bench_sphere.json")):
+        texts = []
+        for hashseed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "sparksel.cli", *args, "--config", cfg,
+                 "--out", str(tmp_path)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            report = (tmp_path / name).read_text()
+            texts.append(re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": _', report))
+        assert texts[0] == texts[1]
 
 
 class TestCompare:

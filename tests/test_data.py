@@ -1,17 +1,15 @@
 """Dataset plumbing: CSV round trips with row-accurate errors, synthetic
-generation, stratified splitting, and train-anchored standardization."""
+generation and stratified splitting."""
 
 import numpy as np
 import pytest
 
 from sparksel.data import (
     Dataset,
-    SplitPair,
     SynthSpec,
     generate_synthetic,
     load_csv,
     save_csv,
-    standardize,
     stratified_split,
 )
 from sparksel.errors import DataError
@@ -218,35 +216,3 @@ class TestStratifiedSplit:
         with pytest.raises(DataError):
             stratified_split(all_one, test_fraction=0.5, seed=0)
 
-
-class TestStandardize:
-    def test_known_column(self):
-        train = Dataset(features=np.array([[1.0], [2.0], [3.0]]),
-                        labels=np.array([0, 1, 0]), feature_names=("a",))
-        test = Dataset(features=np.array([[2.0]]),
-                       labels=np.array([1]), feature_names=("a",))
-        split, stats = standardize(SplitPair(train=train, test=test))
-        expected = np.array([-1.224744871391589, 0.0, 1.224744871391589])
-        np.testing.assert_allclose(split.train.features[:, 0], expected, atol=1e-12)
-        assert stats.mean[0] == pytest.approx(2.0)
-
-    def test_test_side_uses_train_statistics(self):
-        rng = np.random.default_rng(12)
-        ds = small_dataset(n=24, d=4, seed=12)
-        raw = stratified_split(ds, test_fraction=0.25, seed=2)
-        split, stats = standardize(raw)
-        recovered = split.test.features * stats.scale + stats.mean
-        np.testing.assert_allclose(recovered, raw.test.features, atol=1e-12)
-        # train side is exactly centered, test side in general is not
-        np.testing.assert_allclose(split.train.features.mean(axis=0), 0.0, atol=1e-12)
-
-    def test_zero_variance_column_maps_to_zero(self):
-        X = np.ones((5, 2))
-        X[:, 1] = np.arange(5)
-        ds = Dataset(features=X, labels=np.array([0, 1, 0, 1, 0]),
-                     feature_names=("flat", "ramp"))
-        raw = stratified_split(ds, test_fraction=0.4, seed=0)
-        split, stats = standardize(raw)
-        assert np.all(split.train.features[:, 0] == 0.0)
-        assert np.all(np.isfinite(split.test.features))
-        assert stats.scale[0] == 1.0

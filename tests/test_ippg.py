@@ -16,7 +16,6 @@ from sparksel.ippg import (
     build_signal,
     extract_features,
     feature_schema,
-    mean_pixel,
     read_frames,
     spectrum,
     synth_pulse_frames,
@@ -38,34 +37,45 @@ def naive_mean(frame):
     return out / (h * w)
 
 
+def two_frame_signal(frame):
+    """build_signal on a two-frame, 1 fps sequence repeating ``frame``."""
+    seq = frames_of(np.stack([frame, frame]), fps=1)
+    samples = build_signal(seq, "fore").samples
+    assert np.array_equal(samples[:, 0], samples[:, 1])
+    return samples[:, 0]
+
+
 class TestMeanPixel:
+    """Per-frame channel means, read through build_signal."""
+
     def test_uniform_frame(self):
         frame = np.full((4, 6, 3), 128, dtype=np.uint8)
-        np.testing.assert_array_equal(mean_pixel(frame), [128.0, 128.0, 128.0])
+        np.testing.assert_array_equal(two_frame_signal(frame), [128.0, 128.0, 128.0])
 
     def test_checkerboard_red(self):
         frame = np.zeros((2, 2, 3), dtype=np.uint8)
         frame[0, 1, 0] = 255
         frame[1, 0, 0] = 255
-        assert mean_pixel(frame)[0] == 127.5
-        assert mean_pixel(frame)[1] == 0.0
+        assert two_frame_signal(frame)[0] == 127.5
+        assert two_frame_signal(frame)[1] == 0.0
 
     def test_single_pixel(self):
         frame = np.array([[[7, 8, 9]]], dtype=np.uint8)
-        np.testing.assert_array_equal(mean_pixel(frame), [7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(two_frame_signal(frame), [7.0, 8.0, 9.0])
 
     def test_matches_double_loop_exactly(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             frame = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
-            fast = mean_pixel(frame)
+            fast = two_frame_signal(frame)
             slow = naive_mean(frame)
             assert np.array_equal(fast, slow)  # exact, not approximate
 
     def test_empty_frame_rejected(self):
-        with pytest.raises(DataError):
-            mean_pixel(np.zeros((0, 4, 3), dtype=np.uint8))
+        for shape in [(2, 0, 4, 3), (2, 4, 0, 3)]:
+            with pytest.raises(DataError):
+                frames_of(np.zeros(shape), fps=1)
 
 
 class TestBuildSignal:
@@ -81,8 +91,7 @@ class TestBuildSignal:
         seq = frames_of(pixels, fps=25)
         sig = build_signal(seq, "nose")
         for t in range(50):
-            np.testing.assert_array_equal(sig.samples[:, t],
-                                          mean_pixel(pixels[t]))
+            np.testing.assert_array_equal(sig.samples[:, t], naive_mean(pixels[t]))
 
     def test_unknown_roi_tag(self):
         seq = frames_of(np.zeros((60, 2, 2, 3)), fps=25)

@@ -234,29 +234,69 @@ class TestChildRng:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("gen", [1, 7, 2**32])
     def test_rekey_matches_child_rng(self, seed, gen):
-        # one Generator re-keyed slot after slot; odd uint32 counts leave
-        # half a Philox word buffered, which the next re-key must drop
-        rng = np.random.Generator(np.random.Philox(0))
-        head = swarm.entropy_words(seed) + swarm.entropy_words(gen)
-        for slot in [(i, j) for i in (1, 2, 9) for j in range(3)] + [(2**32 - 1, 0)]:
-            assert swarm.rekey(rng, head + list(slot)) is rng
+        # a Philox keyed by hand from the little-endian uint32 words of
+        # seed, generation and slot, counter at zero, is the child_rng
+        # stream; this pins the key layout for seeds and generations
+        # past 32 bits, and the three fireworks roles stay apart
+        def words(n):
+            out = [n & 0xFFFFFFFF]
+            while n >> 32:
+                n >>= 32
+                out.append(n & 0xFFFFFFFF)
+            return out
+
+        seen = {1: set(), 2: set()}
+        for slot in [(i, j) for i in (1, 2, 9) for j in range(3)] + [(2**32 - 1, 0)] + [
+                (role,) for role in (1, 2, 3)]:
+            ss = np.random.SeedSequence(words(seed) + words(gen) + list(slot))
+            rng = np.random.Generator(
+                np.random.Philox(key=ss.generate_state(2, np.uint64)))
             got, want = (
                 np.concatenate([r.integers(0, 2, size=3), r.uniform(size=2),
                                 r.standard_normal(3), r.permutation(5)])
                 for r in (rng, child_rng(seed, gen, *slot))
             )
             assert np.array_equal(got, want)
+            seen[len(slot)].add(got.tobytes())
+        assert len(seen[1]) == 3 and len(seen[2]) == 10
 
     def test_fireworks_runs_are_frozen(self):
-        # recorded with a fresh child_rng per spark, before the re-keying
-        want = {"ifa": ("0x1.d60f3c5780000p-12", 24, "0x1.7aeef3337854ap-9"),
-                "fa": ("0x1.1edd53ae7efc0p-1", 25, "0x1.9bfa297359692p-4")}
+        # recorded with three streams per generation (report schema 2)
+        want = {"ifa": ("0x1.d8600d0ecb800p-4", 24, "0x1.f77de265111b4p-6"),
+                "fa": ("0x1.1bbdc68f91800p+0", 24, "0x1.0d06248aead23p-3")}
         for algo, (best, gens, x_sum) in want.items():
             r = optimize(rastrigin, cfg(dimensions=5, max_evaluations=600,
                                         seed=2**32 + 3, algorithm=algo))
             assert r.best_fitness.hex() == best
             assert (r.evaluations_used, len(r.fitness_trace)) == (600, gens)
             assert float(np.sum(r.best_x)).hex() == x_sum
+
+
+class TestFireworksStreams:
+    @pytest.mark.parametrize("algo", ["ifa", "fa"])
+    def test_three_streams_per_generation(self, algo, monkeypatch):
+        """After the (seed, 0, 0) initial population, each generation
+        draws from exactly (seed, gen, 1) explosion sparks, (seed, gen, 2)
+        Gaussian-mutation sparks and (seed, gen, 3) survivors, never a
+        stream per spark; two same-seed runs agree bit for bit."""
+        paths = []
+
+        def counting(seed, *path):
+            paths.append(path)
+            return child_rng(seed, *path)
+
+        monkeypatch.setattr(swarm, "child_rng", counting)
+        c = cfg(dimensions=6, max_evaluations=900, seed=5, algorithm=algo)
+        a = optimize(rastrigin, c)
+        generations = len(a.fitness_trace) - 1
+        assert generations > 10
+        assert len(paths) == 1 + 3 * generations
+        assert paths == [(0, 0)] + [(g, role) for g in range(1, generations + 1)
+                                    for role in (1, 2, 3)]
+        b = optimize(rastrigin, c)
+        assert a.best_x.tobytes() == b.best_x.tobytes()
+        assert a.best_fitness.hex() == b.best_fitness.hex()
+        assert a.fitness_trace.tobytes() == b.fitness_trace.tobytes()
 
 
 class TestConfigValidation:
