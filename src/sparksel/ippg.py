@@ -4,7 +4,9 @@ Frame tensors reduce to per-channel mean-pixel series (the raw iPPG
 signal), which are band-passed into heart-rate and respiration bands
 by a zero-phase 3rd-order Butterworth filter and summarized in both
 domains: five time-domain statistics plus in-band FFT magnitudes per
-ROI, channel, and band.
+ROI, channel, and band.  The filter works along the last axis, so a
+ROI's three channel rows go through it in one call per band, and each
+(band, fps) design is computed once per process and reused.
 
 Frame sequences round-trip through a small binary container: a
 16-byte little-endian header (magic "IPPG", u32 frame count, u16
@@ -14,6 +16,7 @@ row-major u8 pixels.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -92,11 +95,12 @@ def build_signal(frames: FrameSequence, roi_tag: str) -> IppgSignal:
     if roi_tag not in ROI_TAGS:
         raise DataError("roi_tag must be one of %s" % (ROI_TAGS,))
     t, h, w, c = frames.pixels.shape
-    sums = frames.pixels.astype(np.int64).sum(axis=(1, 2))  # (T', C)
+    sums = np.einsum("thwc->tc", frames.pixels, dtype=np.int64)  # (T', C)
     samples = sums.T / float(h * w)
     return IppgSignal(samples=samples, fps=frames.fps, roi_tag=roi_tag)
 
 
+@functools.lru_cache(maxsize=64)
 def _design(band: BandSpec, fps: float):
     if not band.high < fps / 2.0:
         raise DataError(
@@ -105,16 +109,24 @@ def _design(band: BandSpec, fps: float):
     return butter(3, [band.low, band.high], btype="bandpass", fs=fps, output="sos")
 
 
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise DataError("series holds NaN or inf")
+
+
 def bandpass(series, band: BandSpec, fps: float) -> np.ndarray:
     """Zero-phase band-pass: 3rd-order Butterworth applied forward and
-    backward.  The mean is removed first so no DC leaks through the
-    transient edges."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1 or x.size < 9:
-        raise DataError("series must be 1-D with length >= 9")
-    sos = _design(band, fps)
-    padlen = min(3 * (2 * sos.shape[0] + 1), x.size - 1)
-    return sosfiltfilt(sos, x - x.mean(), padlen=padlen)
+    backward along the last axis of a 1-D series or a 2-D (rows, T)
+    stack; each row comes out bit-equal to a 1-D call on it.  Each row's
+    mean is removed first so no DC leaks through the transient edges.
+    The filter design is cached per (band, fps)."""
+    x = np.ascontiguousarray(series, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] < 9:
+        raise DataError("series must be 1-D or 2-D with last axis length >= 9")
+    _check_finite(x)
+    sos = _design(band, float(fps))
+    padlen = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
+    return sosfiltfilt(sos, x - x.mean(axis=-1, keepdims=True), axis=-1, padlen=padlen)
 
 
 def _next_pow2(n: int) -> int:
@@ -150,6 +162,7 @@ def spectrum(series, fps: float, band: BandSpec) -> SpectrumResult:
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1 or x.size < 64:
         raise DataError("series must be 1-D with length >= 64")
+    _check_finite(x)
     nfft = _next_pow2(x.size)
     windowed = x * np.hanning(x.size)
     mags = np.abs(np.fft.rfft(windowed, n=nfft))
@@ -183,22 +196,21 @@ def extract_features(fore: FrameSequence, nose: FrameSequence) -> np.ndarray:
     parts = []
     for seq, tag in ((fore, "fore"), (nose, "nose")):
         sig = build_signal(seq, tag)
+        filtered = [bandpass(sig.samples, band, sig.fps) for _, band in BANDS]
         for ch in range(3):
-            row = sig.samples[ch]
-            filtered = {}
-            for bname, band in BANDS:
-                td = bandpass(row, band, sig.fps)
-                filtered[bname] = td
+            rows = [f[ch] for f in filtered]
+            for td in rows:
                 parts.append(
                     np.array(
                         [td.mean(), td.std(), td.min(), td.max(), np.median(td)]
                     )
                 )
-            for bname, band in BANDS:
-                parts.append(spectrum(filtered[bname], sig.fps, band).magnitudes)
+            for td, (_, band) in zip(rows, BANDS):
+                parts.append(spectrum(td, sig.fps, band).magnitudes)
     return np.concatenate(parts)
 
 
+@functools.lru_cache(maxsize=64)
 def feature_schema(fps: int, n_frames: int) -> tuple:
     """Names for every position of ``extract_features`` output, given
     capture rate and length.  The count is closed-form: per ROI and

@@ -2,6 +2,8 @@
 gains on known sinusoids, spectral peaks, the feature layout, and the
 binary frame container."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,17 @@ class TestBuildSignal:
         with pytest.raises(DataError):
             build_signal(seq, "cheek")
 
+    def test_saturated_megapixel_mean_exact(self):
+        seq = frames_of(np.full((2, 1000, 1000, 3), 255), fps=1)
+        assert np.all(build_signal(seq, "fore").samples == 255.0)
+
+    def test_sums_match_int64_reference(self):
+        rng = np.random.default_rng(8)
+        pixels = rng.integers(0, 256, size=(60, 9, 7, 3)).astype(np.uint8)
+        sig = build_signal(frames_of(pixels, fps=25), "fore")
+        reference = pixels.astype(np.int64).sum(axis=(1, 2)).T / float(9 * 7)
+        assert np.array_equal(sig.samples, reference)
+
 
 class TestFrameSequenceValidation:
     def test_wrong_dtype(self):
@@ -161,6 +174,50 @@ class TestBandpass:
         with pytest.raises(DataError):
             bandpass(np.zeros(5), HR_BAND, 25.0)
 
+    def test_stack_rows_equal_single_calls(self):
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((3, 500)) * 20.0 + 128.0
+        for band in (HR_BAND, RR_BAND):
+            out = bandpass(stack, band, self.FPS)
+            assert out.shape == stack.shape
+            for ch in range(3):
+                assert np.array_equal(out[ch], bandpass(stack[ch], band, self.FPS))
+
+    def test_column_major_stack_equals_single_calls(self):
+        rng = np.random.default_rng(10)
+        stack = np.asfortranarray(rng.standard_normal((3, 400)) + 50.0)
+        out = bandpass(stack, HR_BAND, self.FPS)
+        for ch in range(3):
+            assert np.array_equal(out[ch], bandpass(stack[ch], HR_BAND, self.FPS))
+
+    @pytest.mark.parametrize(
+        "series", [np.float64(1.0), np.zeros((2, 3, 100)), np.zeros((3, 8))]
+    )
+    def test_bad_shapes_rejected(self, series):
+        with pytest.raises(DataError):
+            bandpass(series, HR_BAND, self.FPS)
+
+    def test_infeasible_band_rejected_on_every_call(self):
+        band = BandSpec(0.5, 13.0)
+        for _ in range(2):
+            with pytest.raises(DataError, match="infeasible"):
+                bandpass(np.zeros(100), band, 25.0)
+
+    def test_repeat_calls_agree(self):
+        x = self.tone(1.3) + 0.5 * self.tone(0.3)
+        first = bandpass(x, HR_BAND, self.FPS)
+        assert np.array_equal(bandpass(x, HR_BAND, self.FPS), first)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = self.tone(1.2)
+        x[300] = bad
+        with pytest.raises(DataError, match="NaN or inf"):
+            bandpass(x, HR_BAND, self.FPS)
+        with pytest.raises(DataError, match="NaN or inf"):
+            bandpass(np.stack([self.tone(1.0), x]), HR_BAND, self.FPS)
+
 
 class TestSpectrum:
     FPS = 25.0
@@ -204,6 +261,14 @@ class TestSpectrum:
         with pytest.raises(DataError):
             spectrum(np.zeros(63), self.FPS, HR_BAND)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.sin(2 * np.pi * 1.2 * np.arange(750) / self.FPS)
+        x[100] = bad
+        with pytest.raises(DataError, match="NaN or inf"):
+            spectrum(x, self.FPS, HR_BAND)
+
     def test_band_without_bins_rejected(self):
         # 64-point grid at 1 fps spaces bins 1/64 Hz apart; this band
         # sits strictly between bins 29/64 and 30/64
@@ -241,6 +306,23 @@ class TestFeatures:
         schema = feature_schema(25, 200)
         stds = [f for f, name in zip(feats, schema) if name.endswith("td_std")]
         np.testing.assert_allclose(stds, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "nose_seconds, digest",
+        [
+            (30.0, "7c24826ce8bc8e8e09a9fb658bdbcdbd47c331e9b5b1ff0002a5e0b4d31ebd65"),
+            (20.0, "7fe5eda6384ece2f1c9cec974bfeeb61b62d2530c2e8456386583f8e2f016d90"),
+        ],
+    )
+    def test_frozen_output(self, nose_seconds, digest):
+        """Byte-level pin of the feature vector for a 750/750 and a
+        750/500 frame capture pair; any change to filtering, statistics
+        or spectra order shows here."""
+        fore = synth_pulse_frames(25, 30.0, 6, 6, hr_hz=1.2, rr_hz=0.25, seed=11)
+        nose = synth_pulse_frames(25, nose_seconds, 5, 4, hr_hz=1.2, rr_hz=0.25, seed=12)
+        assert (fore.n_frames, nose.n_frames) == (750, int(25 * nose_seconds))
+        feats = extract_features(fore, nose)
+        assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
 
     def test_mismatched_fps_rejected(self):
         a = synth_pulse_frames(25, 5.0, 3, 3, hr_hz=1.2, rr_hz=0.25, seed=0)
