@@ -12,10 +12,10 @@ compare      Avg / delta-Avg table across prior report files
 
 Every command reads one flat key=value config (all keys optional),
 honors --seeds/--out overrides, and writes a JSON report embedding the
-full effective config, so a report alone reproduces the run.  Objective
-evaluations run one at a time on the calling thread.  Files are written
-atomically (temp then rename).  Exit codes: 0 success, 1 config error,
-2 data error, 3 internal invariant violation.
+full effective config, so a report alone reproduces the run.  The swarm
+scores each batch of candidates in one objective call on the calling
+thread.  Files are written atomically (temp then rename).  Exit codes:
+0 success, 1 config error, 2 data error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -339,13 +339,12 @@ def _synth_runs(cfg: ExperimentConfig, seeds, out_dir):
 
 def _ippg_entry(fore, nose, seed, injected):
     vec = ippg.extract_features(fore, nose)
-    if fore.n_frames == nose.n_frames:
-        schema = ippg.feature_schema(fore.fps, fore.n_frames)
-        if len(schema) != vec.size:
-            raise InvariantError(
-                "feature schema names %d positions, vector has %d"
-                % (len(schema), vec.size)
-            )
+    schema = ippg.feature_schema(fore.fps, fore.n_frames, nose.n_frames)
+    if len(schema) != vec.size:
+        raise InvariantError(
+            "feature schema names %d positions, vector has %d"
+            % (len(schema), vec.size)
+        )
     green = ippg.build_signal(fore, "fore").samples[1]
     hr = ippg.spectrum(
         ippg.bandpass(green, ippg.HR_BAND, fore.fps), fore.fps, ippg.HR_BAND

@@ -211,13 +211,16 @@ def extract_features(fore: FrameSequence, nose: FrameSequence) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def feature_schema(fps: int, n_frames: int) -> tuple:
+def feature_schema(fps: int, n_frames: int, nose_frames: int | None = None) -> tuple:
     """Names for every position of ``extract_features`` output, given
-    capture rate and length.  The count is closed-form: per ROI and
-    channel, 5 statistics per band plus the in-band bin counts."""
-    nfft = _next_pow2(n_frames)
+    capture rate and the fore and nose lengths (``nose_frames`` defaults
+    to ``n_frames``).  The count is closed-form: per ROI and channel, 5
+    statistics per band plus the in-band bin counts of that ROI's FFT."""
+    if nose_frames is None:
+        nose_frames = n_frames
     names = []
-    for tag in ROI_TAGS:
+    for tag, frames in zip(ROI_TAGS, (n_frames, nose_frames)):
+        nfft = _next_pow2(frames)
         for ch in CHANNELS:
             for bname, _ in BANDS:
                 for stat in TD_STATS:

@@ -8,8 +8,9 @@ AdaBoost model trained on the masked columns.  A run remembers the
 loss of each repaired mask it has trained (a plain dict of floats keyed
 by the packed mask bits), so a repeated mask costs no training; the
 swarm's budget, the importance counters and the popcount floor still
-count every evaluation.  The swarm calls the objective one evaluation
-at a time on the calling thread, so these counters need no lock.
+count every evaluation.  The swarm hands the objective each batch of
+positions in one call on the calling thread; the batch objective scores
+its rows one at a time in row order, so these counters need no lock.
 
 The ANOVA-based select-k-best filter lives here too as the
 non-wrapper baseline.
@@ -173,7 +174,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
     min_popcount = ds.d + 1
     losses = {}  # packed repaired-mask bits -> loss, for this run only
 
-    def objective(x):
+    def mask_loss(x):
         nonlocal min_popcount
         raw = discretize(x)
         mask = repair(raw, lam, _mask_rng(cfg.swarm.seed, raw))
@@ -186,6 +187,9 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
         tracker.record(mask)
         min_popcount = min(min_popcount, pop)
         return losses[key]
+
+    def objective(X):
+        return [mask_loss(x) for x in X]
 
     opt = swarm.optimize(objective, cfg.swarm)
     if tracker.evaluations != opt.evaluations_used:

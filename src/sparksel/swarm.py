@@ -10,9 +10,13 @@ Determinism: every random draw comes from a counter-based Philox
 stream keyed by (seed, generation, role).  A fireworks generation draws
 its explosion sparks from role 1, its Gaussian-mutation sparks from
 role 2 and its survivors from role 3, each as whole arrays; PSO and BA
-draw a generation from role 0.  The objective is evaluated on the
-calling thread in batch order, so equal seeds give bit-identical
-results.
+draw a generation from role 0.
+
+Objectives take rows at once: each batch of candidates (the initial
+population, a fireworks generation's sparks, a PSO or BA generation)
+goes to the objective in one call on the calling thread, as an (m, d)
+array, and must come back as m finite values in row order.  Equal seeds
+give bit-identical results.
 """
 
 from __future__ import annotations
@@ -90,17 +94,20 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
 
 # --- benchmark objectives ------------------------------------------------
 
-def sphere(x) -> float:
+# Both reduce along the last axis, so one point gives a scalar and an
+# (m, d) batch gives m values, each bit-equal to the one-point call.
+
+def sphere(x):
     """Sum of squares; minimum 0 at the origin corner of the unit cube."""
     x = np.asarray(x)
-    return float(np.dot(x, x))
+    return np.vecdot(x, x)
 
 
-def rastrigin(x) -> float:
+def rastrigin(x):
     """Rastrigin evaluated directly on the unit cube; like sphere its
     minimum 0 sits at the origin corner."""
     x = np.asarray(x)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
 BENCHMARKS = {"sphere": sphere, "rastrigin": rastrigin}
@@ -231,9 +238,10 @@ def select_next(fitnesses, n_keep, rng):
 # --- shared run machinery ------------------------------------------------
 
 class _Budget:
-    """Counts objective calls, tracks the global best, and truncates
+    """Counts evaluated rows, tracks the global best, and truncates
     batches to the remaining budget.  Ties keep the earlier candidate.
-    A NaN or infinite objective value raises InvariantError."""
+    A result that is not m finite values for m rows raises
+    InvariantError."""
 
     def __init__(self, objective, max_evaluations):
         self.objective = objective
@@ -249,7 +257,10 @@ class _Budget:
     def eval_batch(self, X):
         m = min(len(X), self.remaining)
         X = X[:m]
-        f = np.fromiter((self.objective(x) for x in X), np.float64, count=m)
+        f = np.asarray(self.objective(X), dtype=np.float64)
+        if f.shape != (m,):
+            raise InvariantError(
+                "objective returned shape %s for %d rows" % (f.shape, m))
         bad = np.flatnonzero(~np.isfinite(f))
         if bad.size:
             k = int(bad[0])
@@ -269,9 +280,10 @@ def optimize(objective, cfg: SwarmConfig) -> OptResult:
     Parameters
     ----------
     objective : callable
-        Maps a length-d vector in [0,1]^d to a finite float; NaN or
-        +-inf raises InvariantError.  Called once per evaluation, in
-        batch order.
+        Maps an (m, d) float64 array of points in [0,1]^d to m finite
+        values, one per row in row order.  Called once per batch, on at
+        most as many rows as the budget has left; a result of any other
+        shape, or holding NaN or +-inf, raises InvariantError.
     cfg : SwarmConfig
         Algorithm choice and parameters; cfg.seed fixes the run exactly.
 

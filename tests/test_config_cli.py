@@ -14,6 +14,7 @@ import pytest
 
 import sparksel
 from sparksel import config as cfgmod
+from sparksel import ippg
 from sparksel.cli import main
 from sparksel.config import default_config, parse_config, serialize_config
 from sparksel.errors import ConfigError
@@ -378,6 +379,23 @@ class TestOtherCommands:
         assert run["seed"] is None
         assert "hr_error_hz" not in run  # nothing injected to grade against
         assert doc["aggregate"] == {}
+
+    def test_ippg_mixed_length_pair_is_schema_checked(self, tmp_path, monkeypatch):
+        paths = []
+        for tag, seconds in (("fore", 8.0), ("nose", 4.0)):
+            seq = ippg.synth_pulse_frames(25, seconds, 2, 2, 1.2, 0.25, seed=len(paths))
+            paths.append(tmp_path / ("%s.ippg" % tag))
+            ippg.write_frames(seq, paths[-1])
+        cfg = write_config(
+            tmp_path, "ippg.fore_path = %s\nippg.nose_path = %s\n" % tuple(paths))
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 0
+        run = load_report(tmp_path / "ippg.json")["runs"][0]
+        assert run["n_features"] == len(ippg.feature_schema(25, 200, 100))
+        # a schema that names both halves from the fore length must fail
+        one_length = ippg.feature_schema
+        monkeypatch.setattr(ippg, "feature_schema",
+                            lambda fps, n_frames, nose_frames=None: one_length(fps, n_frames))
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_ippg_single_path_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "ippg.fore_path = only_one.ippg\n")

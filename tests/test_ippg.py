@@ -291,6 +291,17 @@ class TestFeatures:
         assert schema[0] == "fore_r_hr_td_mean"
         assert schema[-1].startswith("nose_b_rr_fd_")
 
+    def test_mixed_lengths_name_each_roi_from_its_own_fft(self):
+        # fore 750 frames (nfft 1024), nose 500 frames (nfft 512): each
+        # half is named from its own FFT length
+        fore = synth_pulse_frames(25, 30.0, 2, 2, hr_hz=1.2, rr_hz=0.25, seed=0)
+        nose = synth_pulse_frames(25, 20.0, 2, 2, hr_hz=1.2, rr_hz=0.25, seed=1)
+        schema = feature_schema(25, 750, 500)
+        assert len(schema) == 582 == extract_features(fore, nose).size
+        assert schema[:378] == feature_schema(25, 750)[:378]
+        assert schema[378:] == feature_schema(25, 500)[204:]
+        assert feature_schema(25, 750, 750) == feature_schema(25, 750)
+
     def test_roi_swap_permutes_halves(self):
         fore = synth_pulse_frames(25, 5.0, 4, 4, hr_hz=1.1, rr_hz=0.3, seed=2)
         nose = synth_pulse_frames(25, 5.0, 4, 4, hr_hz=1.3, rr_hz=0.2, seed=3)

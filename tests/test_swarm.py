@@ -52,6 +52,23 @@ class TestObjectives:
             direct = 10.0 * 5 + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x))
             assert rastrigin(x) == pytest.approx(direct, abs=1e-9)
 
+    @pytest.mark.parametrize("d", [1, 10, 39])
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e-50])
+    def test_batch_rows_equal_single_calls(self, d, scale):
+        # each row of a batch is bit-equal to the one-point call, and the
+        # one-point calls are bit-equal to the scalar formulas (np.dot,
+        # a flat np.sum) the objectives used before they took batches
+        rng = np.random.default_rng(d)
+        X = rng.uniform(-0.5, 1.5, size=(300, d)) * scale
+        for fn in (sphere, rastrigin):
+            got = fn(X)
+            assert got.shape == (300,) and got.dtype == np.float64
+            assert got.tobytes() == np.array([fn(x) for x in X]).tobytes()
+        assert [sphere(x).hex() for x in X] == [float(np.dot(x, x)).hex() for x in X]
+        assert [rastrigin(x).hex() for x in X] == [
+            float(10.0 * d + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x))).hex()
+            for x in X]
+
 
 class TestSparkCount:
     def test_two_fireworks_extremes(self):
@@ -321,21 +338,21 @@ class TestConfigValidation:
 
 class TestOptimize:
     def test_budget_is_exact(self):
-        calls = []
+        rows = []
 
-        def counted(x):
-            calls.append(1)
-            return float(np.sum(x))
+        def counted(X):
+            rows.append(len(X))
+            return np.sum(X, axis=1)
 
         for algo in ("ifa", "fa", "pso", "ba"):
-            calls.clear()
+            rows.clear()
             res = optimize(counted, cfg(algorithm=algo, max_evaluations=137,
                                         seed=1))
             assert res.evaluations_used == 137
-            assert len(calls) == 137
+            assert sum(rows) == 137
 
     def test_constant_objective_terminates(self):
-        res = optimize(lambda x: 1.0, cfg(max_evaluations=300, seed=0))
+        res = optimize(lambda X: np.ones(len(X)), cfg(max_evaluations=300, seed=0))
         assert res.best_fitness == 1.0
         assert res.evaluations_used == 300
 
@@ -370,15 +387,29 @@ class TestOptimize:
     def test_iterates_stay_in_unit_box(self):
         seen = []
 
-        def spy(x):
-            seen.append(np.array(x))
-            return sphere(x)
+        def spy(X):
+            seen.append(np.array(X))
+            return sphere(X)
 
         for algo in ("ifa", "fa", "pso", "ba"):
             seen.clear()
             optimize(spy, cfg(algorithm=algo, max_evaluations=500, seed=4))
             pts = np.vstack(seen)
             assert np.all((pts >= 0.0) & (pts <= 1.0)), algo
+
+    def test_pso_and_ba_runs_are_frozen(self):
+        # recorded before objectives took whole batches; 605 leaves a
+        # five-row last batch
+        want = {("sphere", "pso"): ("0x1.05e7211e895f0p-5", "0x1.8a3611e7dbf1bp-2"),
+                ("sphere", "ba"): ("0x1.dc40da378565bp-3", "0x1.bdbb2dc5a0baep-1"),
+                ("rastrigin", "pso"): ("0x1.892e85bc8e110p+3", "0x1.5c1f924f15773p+1"),
+                ("rastrigin", "ba"): ("0x1.d64c3ea7c5690p+2", "0x1.0d85d0c9f28f0p+1")}
+        for (name, algo), (best, x_sum) in want.items():
+            r = optimize(swarm.BENCHMARKS[name], cfg(dimensions=5, max_evaluations=605,
+                                                     seed=2**32 + 3, algorithm=algo))
+            assert r.best_fitness.hex() == best
+            assert (r.evaluations_used, len(r.fitness_trace)) == (605, 61)
+            assert float(np.sum(r.best_x)).hex() == x_sum
 
 
 class TestNonFiniteObjective:
@@ -388,14 +419,19 @@ class TestNonFiniteObjective:
     def test_all_nan_raises(self):
         for algo in ("ifa", "fa", "pso", "ba"):
             with pytest.raises(InvariantError):
-                optimize(lambda x: float("nan"), cfg(algorithm=algo, max_evaluations=50))
+                optimize(lambda X: np.full(len(X), np.nan),
+                         cfg(algorithm=algo, max_evaluations=50))
 
     def test_single_nan_raises(self):
-        calls = []
+        calls = []  # one entry per evaluated row
 
-        def one_nan(x):
-            calls.append(1)
-            return float("nan") if len(calls) == 17 else sphere(x)
+        def one_nan(X):
+            f = sphere(X)
+            for i in range(len(X)):
+                calls.append(1)
+                if len(calls) == 17:
+                    f[i] = float("nan")
+            return f
 
         with pytest.raises(InvariantError):
             optimize(one_nan, cfg(max_evaluations=100))
@@ -403,15 +439,54 @@ class TestNonFiniteObjective:
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     def test_inf_raises(self, value):
-        calls = []
+        calls = []  # one entry per evaluated row
 
-        def one_inf(x):
-            calls.append(1)
-            return value if len(calls) == 3 else sphere(x)
+        def one_inf(X):
+            f = sphere(X)
+            for i in range(len(X)):
+                calls.append(1)
+                if len(calls) == 3:
+                    f[i] = value
+            return f
 
         with pytest.raises(InvariantError):
             optimize(one_inf, cfg(max_evaluations=100))
 
     def test_cli_maps_non_finite_to_exit_3(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(swarm.BENCHMARKS, "sphere", lambda x: float("nan"))
+        monkeypatch.setitem(swarm.BENCHMARKS, "sphere", lambda X: np.full(len(X), np.nan))
+        assert main(["bench", "sphere", "--out", str(tmp_path)]) == 3
+
+
+class TestBatchContract:
+    """The objective takes an (m, d) float64 batch in one call and must
+    return exactly m values; truncation to the budget happens first."""
+
+    @pytest.mark.parametrize("algo", ["ifa", "fa", "pso", "ba"])
+    def test_batches_are_2d_float64_within_budget(self, algo):
+        batches = []
+        left = [137]
+
+        def spy(X):
+            assert X.ndim == 2 and X.dtype == np.float64 and X.shape[1] == 4
+            assert 1 <= len(X) <= left[0]
+            batches.append(len(X))
+            left[0] -= len(X)
+            return sphere(X)
+
+        res = optimize(spy, cfg(algorithm=algo, max_evaluations=137, seed=1))
+        assert sum(batches) == res.evaluations_used == 137
+        assert len(batches) == len(res.fitness_trace)
+
+    @pytest.mark.parametrize("algo", ["ifa", "fa", "pso", "ba"])
+    @pytest.mark.parametrize("bad", [
+        lambda X: 1.0,
+        lambda X: sphere(X)[:, None],
+        lambda X: sphere(X)[1:],
+    ], ids=["scalar", "column", "one_short"])
+    def test_wrong_shape_raises(self, algo, bad):
+        with pytest.raises(InvariantError):
+            optimize(bad, cfg(algorithm=algo, max_evaluations=50))
+
+    def test_cli_maps_wrong_shape_to_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(swarm.BENCHMARKS, "sphere", lambda X: sphere(X)[:, None])
         assert main(["bench", "sphere", "--out", str(tmp_path)]) == 3
