@@ -338,20 +338,13 @@ def _synth_runs(cfg: ExperimentConfig, seeds, out_dir):
 
 
 def _ippg_entry(fore, nose, seed, injected):
-    vec = ippg.extract_features(fore, nose)
+    vec, (hr, rr) = ippg._features_and_peaks(fore, nose)
     schema = ippg.feature_schema(fore.fps, fore.n_frames, nose.n_frames)
     if len(schema) != vec.size:
         raise InvariantError(
             "feature schema names %d positions, vector has %d"
             % (len(schema), vec.size)
         )
-    green = ippg.build_signal(fore, "fore").samples[1]
-    hr = ippg.spectrum(
-        ippg.bandpass(green, ippg.HR_BAND, fore.fps), fore.fps, ippg.HR_BAND
-    ).peak_hz
-    rr = ippg.spectrum(
-        ippg.bandpass(green, ippg.RR_BAND, fore.fps), fore.fps, ippg.RR_BAND
-    ).peak_hz
     entry = {
         "seed": seed,
         "n_features": int(vec.size),

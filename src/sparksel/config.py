@@ -13,7 +13,7 @@ import numbers
 import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, at_least, choice, fraction, positive
+from .errors import ConfigError, at_least, check_value, choice, fraction, positive
 from .selection import SelectionConfig
 from .swarm import SwarmConfig
 
@@ -133,10 +133,9 @@ def _validate(key, value):
         raise ConfigError("unknown key '%s'" % key)
     if not _is_kind(spec.kind, value):
         raise ConfigError("%s: wrong type, want %s (got %r)" % (key, spec.kind, value))
-    if spec.check is not None:
-        msg = spec.check(value)
-        if msg:
-            raise ConfigError("%s: %s (got %r)" % (key, msg, value))
+    msg = check_value(spec.kind, spec.check, value)
+    if msg:
+        raise ConfigError("%s: %s (got %r)" % (key, msg, value))
 
 
 def _parse_value(key: str, spec: KeySpec, text: str):

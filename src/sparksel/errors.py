@@ -8,9 +8,11 @@ value is acceptable.  ``setting`` attaches a check and a config key to
 a dataclass field, so the field is the one place that defines the
 key's name, default, kind (its annotation) and range; ``check_fields``
 applies the checks and ``config.REGISTRY`` is derived from the same
-fields.
+fields.  ``check_value`` is the one place both apply them: every float
+setting must also be finite.
 """
 
+import math
 from dataclasses import MISSING, field, fields
 
 
@@ -57,12 +59,19 @@ def setting(default=MISSING, key=None, check=None):
     return field(default=default, metadata={"key": key, "check": check})
 
 
+def check_value(kind: str, check, value):
+    """Error message for a setting of ``kind`` ("float", "int", ...), or
+    None: a float must be finite, then pass its range ``check``."""
+    if kind == "float" and not math.isfinite(value):
+        return "must be finite"
+    return check(value) if check is not None else None
+
+
 def check_fields(obj) -> None:
     """Raise ConfigError naming the first field of dataclass ``obj``
-    whose range check rejects its value."""
+    whose value breaks ``check_value`` for its annotated kind."""
     for f in fields(obj):
-        check = f.metadata.get("check")
         value = getattr(obj, f.name)
-        msg = check(value) if check is not None else None
+        msg = check_value(f.type, f.metadata.get("check"), value)
         if msg:
             raise ConfigError("%s: %s (got %r)" % (f.name, msg, value))

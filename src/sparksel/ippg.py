@@ -4,9 +4,14 @@ Frame tensors reduce to per-channel mean-pixel series (the raw iPPG
 signal), which are band-passed into heart-rate and respiration bands
 by a zero-phase 3rd-order Butterworth filter and summarized in both
 domains: five time-domain statistics plus in-band FFT magnitudes per
-ROI, channel, and band.  The filter works along the last axis, so a
-ROI's three channel rows go through it in one call per band, and each
-(band, fps) design is computed once per process and reused.
+ROI, channel, and band.
+
+The hot paths do no per-call setup: pixel sums run as one float64
+matrix product per block of frames, each (band, fps) filter design and
+its initial state are computed once per process, and so are each Hann
+window (per length) and in-band bin index array (per nfft, fps and
+band).  The filter works along the last axis, so a ROI's three channel
+rows go through it in one call per band.
 
 Frame sequences round-trip through a small binary container: a
 16-byte little-endian header (magic "IPPG", u32 frame count, u16
@@ -17,11 +22,12 @@ row-major u8 pixels.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
+from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from .errors import DataError
 
@@ -40,8 +46,10 @@ class BandSpec:
     high: float
 
     def __post_init__(self):
-        if not 0.0 < self.low < self.high:
-            raise DataError("need 0 < low < high, got [%g, %g]" % (self.low, self.high))
+        if not (0.0 < self.low < self.high and math.isfinite(self.high)):
+            raise DataError(
+                "need finite 0 < low < high, got [%g, %g]" % (self.low, self.high)
+            )
 
 
 HR_BAND = BandSpec(0.75, 3.33)
@@ -86,27 +94,59 @@ class IppgSignal:
     roi_tag: str
 
 
+# Pixel values converted to float64 per block of frames; bounds the
+# temporary at 8 * _SUM_BLOCK bytes (one frame when a frame is larger).
+_SUM_BLOCK = 1 << 18
+
+
 def build_signal(frames: FrameSequence, roi_tag: str) -> IppgSignal:
     """Per-channel mean of every frame as the C x T' signal matrix.
 
-    Pixels are summed as exact integers before one division per value,
-    so the result is independent of traversal order.
+    Pixels are summed exactly before one division per value: each block
+    of frames goes through one float64 matrix product with a ones
+    vector, and every partial sum is an integer below 2**53, so the
+    result is independent of summation order.
     """
     if roi_tag not in ROI_TAGS:
         raise DataError("roi_tag must be one of %s" % (ROI_TAGS,))
-    t, h, w, c = frames.pixels.shape
-    sums = np.einsum("thwc->tc", frames.pixels, dtype=np.int64)  # (T', C)
+    pixels = frames.pixels
+    t, h, w, c = pixels.shape
+    ones = np.ones(h * w)
+    step = max(1, _SUM_BLOCK // (h * w * c))
+    sums = np.empty((t, c))
+    for start in range(0, t, step):
+        block = pixels[start : start + step].astype(np.float64)
+        sums[start : start + step] = ones @ block.reshape(-1, h * w, c)
     samples = sums.T / float(h * w)
     return IppgSignal(samples=samples, fps=frames.fps, roi_tag=roi_tag)
 
 
+def _check_fps(fps) -> float:
+    fps = float(fps)
+    if not (math.isfinite(fps) and fps > 0.0):
+        raise DataError("fps must be finite and > 0, got %g" % fps)
+    return fps
+
+
 @functools.lru_cache(maxsize=64)
 def _design(band: BandSpec, fps: float):
+    """Second-order sections and their unit-step initial state.  The
+    sections stay writable: scipy's filter kernel rejects read-only
+    buffers."""
     if not band.high < fps / 2.0:
         raise DataError(
             "band [%g, %g] Hz infeasible at %g fps" % (band.low, band.high, fps)
         )
-    return butter(3, [band.low, band.high], btype="bandpass", fs=fps, output="sos")
+    sos = butter(3, [band.low, band.high], btype="bandpass", fs=fps, output="sos")
+    try:
+        zi = sosfilt_zi(sos)
+    except np.linalg.LinAlgError:
+        raise DataError(
+            "band [%g, %g] Hz is numerically degenerate at %g fps"
+            % (band.low, band.high, fps)
+        ) from None
+    zi.flags.writeable = False
+    return sos, zi
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -119,23 +159,46 @@ def bandpass(series, band: BandSpec, fps: float) -> np.ndarray:
     backward along the last axis of a 1-D series or a 2-D (rows, T)
     stack; each row comes out bit-equal to a 1-D call on it.  Each row's
     mean is removed first so no DC leaks through the transient edges.
-    The filter design is cached per (band, fps)."""
+
+    The steps are those of ``scipy.signal.sosfiltfilt`` with odd padding
+    of ``padlen = min(21, T - 1)`` samples, so the output is bit-equal
+    to it; the filter design and its initial state come from a cache
+    per (band, fps) instead of being solved again on every call."""
+    fps = _check_fps(fps)
     x = np.ascontiguousarray(series, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 9:
         raise DataError("series must be 1-D or 2-D with last axis length >= 9")
     _check_finite(x)
-    sos = _design(band, float(fps))
-    padlen = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
-    return sosfiltfilt(sos, x - x.mean(axis=-1, keepdims=True), axis=-1, padlen=padlen)
+    sos, zi = _design(band, fps)
+    zi = zi.reshape(zi.shape[:1] + (1,) * (x.ndim - 1) + zi.shape[1:])
+    n = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
+    x = x - x.mean(axis=-1, keepdims=True)
+    head, tail = x[..., :1], x[..., -1:]
+    ext = np.concatenate(
+        (2 * head - x[..., n:0:-1], x, 2 * tail - x[..., -2 : -(n + 2) : -1]), axis=-1
+    )
+    y, _ = sosfilt(sos, ext, axis=-1, zi=zi * ext[..., :1])
+    y, _ = sosfilt(sos, y[..., ::-1], axis=-1, zi=zi * y[..., -1:])
+    return y[..., ::-1][..., n:-n]
 
 
 def _next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
+@functools.lru_cache(maxsize=64)
+def _hann(n: int) -> np.ndarray:
+    window = np.hanning(n)
+    window.flags.writeable = False
+    return window
+
+
+@functools.lru_cache(maxsize=64)
 def _band_bins(nfft: int, fps: float, band: BandSpec) -> np.ndarray:
     freqs = np.arange(nfft // 2 + 1) * (fps / nfft)
-    return np.flatnonzero((freqs >= band.low) & (freqs <= band.high))
+    bins = np.flatnonzero((freqs >= band.low) & (freqs <= band.high))
+    bins.flags.writeable = False
+    return bins
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +221,16 @@ class SpectrumResult:
 
 def spectrum(series, fps: float, band: BandSpec) -> SpectrumResult:
     """Magnitude spectrum with a Hann window, zero-padded to the next
-    power of two.  Needs at least 64 samples."""
+    power of two.  Needs at least 64 samples.  The window and the
+    in-band bin indices come from caches per length and per (nfft, fps,
+    band)."""
+    _check_fps(fps)
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1 or x.size < 64:
         raise DataError("series must be 1-D with length >= 64")
     _check_finite(x)
     nfft = _next_pow2(x.size)
-    windowed = x * np.hanning(x.size)
+    windowed = x * _hann(x.size)
     mags = np.abs(np.fft.rfft(windowed, n=nfft))
     freqs = np.arange(mags.size) * (fps / nfft)
     bins = _band_bins(nfft, fps, band)
@@ -191,9 +257,16 @@ def extract_features(fore: FrameSequence, nose: FrameSequence) -> np.ndarray:
     spectral magnitudes in the same band order.  ``feature_schema``
     names every position.
     """
+    return _features_and_peaks(fore, nose)[0]
+
+
+def _features_and_peaks(fore: FrameSequence, nose: FrameSequence):
+    """``extract_features``' vector and the fore ROI's green-channel
+    spectral peak in Hz per band (BANDS order), read off the filtered
+    rows and spectra the vector is built from."""
     if fore.fps != nose.fps:
         raise DataError("fore fps %d != nose fps %d" % (fore.fps, nose.fps))
-    parts = []
+    parts, peaks = [], []
     for seq, tag in ((fore, "fore"), (nose, "nose")):
         sig = build_signal(seq, tag)
         filtered = [bandpass(sig.samples, band, sig.fps) for _, band in BANDS]
@@ -206,8 +279,11 @@ def extract_features(fore: FrameSequence, nose: FrameSequence) -> np.ndarray:
                     )
                 )
             for td, (_, band) in zip(rows, BANDS):
-                parts.append(spectrum(td, sig.fps, band).magnitudes)
-    return np.concatenate(parts)
+                spec = spectrum(td, sig.fps, band)
+                parts.append(spec.magnitudes)
+                if (tag, CHANNELS[ch]) == ("fore", "g"):
+                    peaks.append(spec.peak_hz)
+    return np.concatenate(parts), tuple(peaks)
 
 
 @functools.lru_cache(maxsize=64)

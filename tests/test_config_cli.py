@@ -143,6 +143,35 @@ class TestConfigParsing:
             default_config().with_overrides({key: value})
         assert key in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("ippg.hr_hz", float("inf")),
+        ("ippg.duration_s", float("nan")),
+        ("pso.inertia", float("-inf")),
+        ("synth.noise_sigma", float("inf")),
+    ])
+    def test_non_finite_float_override_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="finite") as err:
+            default_config().with_overrides({key: value})
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("text", ["ippg.duration_s = inf", "ippg.hr_hz = inf",
+                                      "ba.freq_max = nan", "pso.social = -inf"])
+    def test_non_finite_float_in_file_rejected(self, tmp_path, text):
+        path = write_config(tmp_path, text + "\n")
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (SwarmConfig, "epsilon", float("inf")),
+        (SwarmConfig, "pso_inertia", float("nan")),
+        (SwarmConfig, "ba_freq_max", float("inf")),
+        (SelectionConfig, "test_fraction", float("nan")),
+    ])
+    def test_non_finite_dataclass_field_rejected(self, cls, name, value):
+        with pytest.raises(ConfigError, match="finite") as err:
+            build(cls, **{name: value})
+        assert name in str(err.value)
+
     def test_float_key_takes_an_int_override(self):
         cfg = default_config().with_overrides({"swarm.r_max": 1, "seeds": [2, 3]})
         assert cfg.get("swarm.r_max") == 1 and cfg.get("seeds") == [2, 3]
@@ -293,6 +322,13 @@ class TestExitCodes:
         assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["ippg.duration_s = inf", "ippg.hr_hz = inf"])
+    def test_non_finite_ippg_setting_exits_one(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, "seeds = 0\n" + text + "\n")
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "ippg.json").exists()
+
     def test_usage_error_maps_to_config_error(self, capsys):
         assert run_cli(["no-such-command"]) == 1
         assert run_cli([]) == 1
@@ -396,6 +432,25 @@ class TestOtherCommands:
         monkeypatch.setattr(ippg, "feature_schema",
                             lambda fps, n_frames, nose_frames=None: one_length(fps, n_frames))
         assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    def test_ippg_filters_each_roi_once(self, tmp_path, monkeypatch):
+        """The HR/RR peaks come from the rows extract_features already
+        band-passed: per capture pair, one build_signal per ROI and one
+        bandpass per ROI and band."""
+        calls = {"build_signal": 0, "bandpass": 0}
+        for name in calls:
+            original = getattr(ippg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ippg, name, counted)
+        cfg = write_config(tmp_path, "seeds = 0,1\nippg.duration_s = 8\n"
+                                     "ippg.height = 4\nippg.width = 4\n")
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls == {"build_signal": 2 * 2, "bandpass": 2 * 4}
+        assert load_report(tmp_path / "ippg.json")["aggregate"]["median_hr_error_hz"] <= 0.1
 
     def test_ippg_single_path_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "ippg.fore_path = only_one.ippg\n")

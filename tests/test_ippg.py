@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.signal import sosfiltfilt
 
 from sparksel import ippg
 from sparksel.errors import DataError
@@ -112,6 +113,38 @@ class TestBuildSignal:
         assert np.array_equal(sig.samples, reference)
 
 
+def einsum_sums(pixels):
+    """Reference channel means: exact int64 sums in one einsum."""
+    h, w = pixels.shape[1:3]
+    return np.einsum("thwc->tc", pixels, dtype=np.int64).T / float(h * w)
+
+
+class TestBuildSignalOracle:
+    """The blocked float64 matrix-product sums equal exact int64 sums."""
+
+    @pytest.mark.parametrize("shape", [(60, 8, 8, 3), (50, 5, 11, 3), (30, 1, 1, 3)])
+    def test_random_frames(self, shape):
+        rng = np.random.default_rng(shape[1] * 100 + shape[2])
+        pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+        sig = build_signal(frames_of(pixels, fps=10), "fore")
+        assert np.array_equal(sig.samples, einsum_sums(pixels))
+
+    def test_all_255_frames(self):
+        pixels = np.full((50, 7, 13, 3), 255, dtype=np.uint8)
+        sig = build_signal(frames_of(pixels, fps=25), "nose")
+        assert np.array_equal(sig.samples, einsum_sums(pixels))
+        assert np.all(sig.samples == 255.0)
+
+    def test_capture_larger_than_one_block(self):
+        rng = np.random.default_rng(21)
+        pixels = rng.integers(0, 256, size=(61, 48, 48, 3)).astype(np.uint8)
+        frame = pixels[0].size
+        assert pixels.size > ippg._SUM_BLOCK
+        assert pixels.shape[0] % (ippg._SUM_BLOCK // frame) != 0  # ragged last block
+        sig = build_signal(frames_of(pixels, fps=25), "fore")
+        assert np.array_equal(sig.samples, einsum_sums(pixels))
+
+
 class TestFrameSequenceValidation:
     def test_wrong_dtype(self):
         with pytest.raises(DataError):
@@ -166,6 +199,11 @@ class TestBandpass:
         corrs = [np.dot(y[core], np.roll(x, k)[core]) for k in lags]
         assert lags[int(np.argmax(corrs))] == 0
 
+    @pytest.mark.parametrize("low, high", [(0.1, np.inf), (0.1, np.nan), (np.nan, 1.0)])
+    def test_non_finite_band_rejected(self, low, high):
+        with pytest.raises(DataError):
+            BandSpec(low, high)
+
     def test_infeasible_band(self):
         with pytest.raises(DataError):
             bandpass(np.zeros(100), BandSpec(0.5, 13.0), 25.0)
@@ -219,8 +257,61 @@ class TestBandpass:
             bandpass(np.stack([self.tone(1.0), x]), HR_BAND, self.FPS)
 
 
+class TestBandpassOracle:
+    """``bandpass`` runs sosfiltfilt's steps itself with a cached
+    initial state; its output is bit-equal to sosfiltfilt."""
+
+    @staticmethod
+    def reference(x, band, fps):
+        sos, _ = ippg._design(band, fps)
+        padlen = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
+        return sosfiltfilt(sos, x - x.mean(axis=-1, keepdims=True), axis=-1, padlen=padlen)
+
+    @pytest.mark.parametrize("fps", [10.0, 25.0, 30.0])
+    @pytest.mark.parametrize("band", [HR_BAND, RR_BAND], ids=["hr", "rr"])
+    def test_equals_sosfiltfilt(self, fps, band):
+        rng = np.random.default_rng(int(fps) * 10 + (band is HR_BAND))
+        for t in list(range(9, 41)) + [750]:
+            for shape in ((t,), (3, t)):
+                x = rng.standard_normal(shape) * 20.0 + 128.0
+                assert np.array_equal(bandpass(x, band, fps), self.reference(x, band, fps)), (t, shape)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fps", [np.inf, -np.inf, np.nan, 0.0, -25.0, 1e308])
+    def test_bad_fps_rejected(self, fps):
+        with pytest.raises(DataError):
+            bandpass(np.zeros(100), HR_BAND, fps)
+        with pytest.raises(DataError):
+            bandpass(np.zeros((3, 100)), RR_BAND, fps)
+
+    def test_cached_initial_state_is_read_only(self):
+        sos, zi = ippg._design(HR_BAND, 25.0)
+        assert not zi.flags.writeable
+        assert sos.flags.writeable  # scipy's kernel rejects read-only sections
+
+
 class TestSpectrum:
     FPS = 25.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fps", [np.inf, np.nan, 0.0, -25.0])
+    def test_bad_fps_rejected(self, fps):
+        with pytest.raises(DataError, match="fps"):
+            spectrum(np.ones(128), fps, HR_BAND)
+
+    def test_cached_window_and_bins_are_read_only(self):
+        assert not ippg._hann(750).flags.writeable
+        assert not ippg._band_bins(1024, 25, HR_BAND).flags.writeable
+        res = spectrum(np.sin(np.arange(750) / 3.0), self.FPS, HR_BAND)
+        assert np.array_equal(res.freqs, res.bin_freqs[ippg._band_bins(1024, 25.0, HR_BAND)])
+        res.freqs[0] = -1.0  # results are the caller's own arrays
+        assert spectrum(np.sin(np.arange(750) / 3.0), self.FPS, HR_BAND).freqs[0] > 0
+
+    def test_window_is_hann(self):
+        x = np.linspace(1.0, 2.0, 300)
+        res = spectrum(x, self.FPS, HR_BAND)
+        want = np.abs(np.fft.rfft(x * np.hanning(300), n=512))
+        assert np.array_equal(res.bin_magnitudes, want)
 
     def test_peak_recovers_injected_frequency(self):
         t = np.arange(750) / self.FPS
