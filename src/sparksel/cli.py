@@ -147,19 +147,20 @@ def _dispatch(argv) -> None:
 
 # --- shared plumbing -------------------------------------------------------
 
-def _envelope(command, variant, label, cfg, seeds, runs, aggregate):
+def _header(command, cfg):
+    """Fields every report starts with, compare.json included."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": "sparksel",
         "tool_version": __version__,
         "command": command,
-        "variant": variant,
-        "method_label": label,
         "config": cfg.echo(),
-        "seeds": list(seeds),
-        "runs": runs,
-        "aggregate": aggregate,
     }
+
+
+def _envelope(command, variant, label, cfg, seeds, runs, aggregate):
+    return dict(_header(command, cfg), variant=variant, method_label=label,
+                seeds=list(seeds), runs=runs, aggregate=aggregate)
 
 
 def _emit(doc, out_dir, basename, started) -> None:
@@ -420,11 +421,17 @@ def _compare(cfg: ExperimentConfig, out_dir, started) -> None:
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
-                reports.append(json.load(fh))
+                report = json.load(fh)
         except OSError as exc:
             raise DataError("cannot read report %s: %s" % (path, exc)) from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, an integer over Python's digit limit
             raise DataError("report %s is not valid JSON: %s" % (path, exc)) from None
+        if not isinstance(report, dict):
+            raise DataError("report %s is not a JSON object" % path)
+        for key in ("config", "aggregate"):
+            if not isinstance(report.get(key, {}), dict):
+                raise DataError("report %s: %s is not a JSON object" % (path, key))
+        reports.append(report)
 
     base = _protocol_slice(reports[0])
     for path, report in zip(paths[1:], reports[1:]):
@@ -440,7 +447,13 @@ def _compare(cfg: ExperimentConfig, out_dir, started) -> None:
         agg = report.get("aggregate", {})
         if "median_avg" not in agg:
             raise DataError("report %s carries no median_avg aggregate" % path)
-        avg_pct = 100.0 * agg["median_avg"]
+        avg = agg["median_avg"]
+        # a mean of rates; the range test also rejects NaN, +-inf and
+        # integers too large for a float
+        if isinstance(avg, bool) or not isinstance(avg, (int, float)) or not 0 <= avg <= 1:
+            raise DataError("report %s: median_avg must be a number in [0, 1], got %r"
+                            % (path, avg))
+        avg_pct = 100.0 * avg
         if ref_avg is None:
             ref_avg = avg_pct
             delta = None
@@ -457,15 +470,7 @@ def _compare(cfg: ExperimentConfig, out_dir, started) -> None:
     table = _render_table(rows)
     _write_atomic(os.path.join(out_dir, "compare.txt"), table)
     print(table, end="")
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "sparksel",
-        "tool_version": __version__,
-        "command": "compare",
-        "config": cfg.echo(),
-        "rows": rows,
-    }
-    _emit(doc, out_dir, "compare", started)
+    _emit(dict(_header("compare", cfg), rows=rows), out_dir, "compare", started)
 
 
 def _render_table(rows) -> str:

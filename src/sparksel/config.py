@@ -106,10 +106,10 @@ class ExperimentConfig:
             if f.metadata.get("key")
         }
 
-    def echo(self, exclude=("threads",)) -> dict:
-        """Config map for embedding in reports; runtime-only keys that
-        never affect results are left out."""
-        return {k: v for k, v in sorted(self.values.items()) if k not in exclude}
+    def echo(self) -> dict:
+        """Config map for embedding in reports; ``threads``, which never
+        affects results, is left out."""
+        return {k: v for k, v in sorted(self.values.items()) if k != "threads"}
 
 
 def default_config() -> ExperimentConfig:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -73,12 +74,11 @@ class FrameSequence:
             raise DataError("frames must be nonempty, got %d x %d" % p.shape[1:3])
         if p.dtype != np.uint8:
             raise DataError("pixels must be u8, got %s" % p.dtype)
-        if self.fps < 1:
-            raise DataError("fps must be >= 1")
-        if p.shape[0] < 2 * self.fps:
-            raise DataError(
-                "need at least 2 seconds of frames: %d < 2*%d" % (p.shape[0], self.fps)
-            )
+        fps = self.fps
+        if isinstance(fps, bool) or not isinstance(fps, numbers.Integral) or fps < 1:
+            raise DataError("fps must be an integer >= 1, got %r" % (fps,))
+        if p.shape[0] < 2 * fps:
+            raise DataError("need at least 2 seconds of frames: %d < 2*%d" % (p.shape[0], fps))
 
     @property
     def n_frames(self) -> int:

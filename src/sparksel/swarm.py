@@ -4,7 +4,11 @@ Four algorithms share one interface: the fireworks algorithm (FA), an
 improved variant (IFA) that scales each explosion radius by
 personal-best fitness history and re-centers the best firework's
 sparks with multiplicative Gaussian spread, global-best PSO with
-inertia, and the standard bat algorithm (BA).
+inertia, and the standard bat algorithm (BA).  ``optimize`` owns what
+they share: it draws and evaluates generation 0, keeps the best-so-far
+trace, and stops the run when the budget is spent.  Each algorithm is a
+generator that starts from the evaluated population and yields once per
+generation.
 
 Determinism: every random draw comes from a counter-based Philox
 stream keyed by (seed, generation, role).  A fireworks generation draws
@@ -21,6 +25,7 @@ give bit-identical results.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,7 +88,6 @@ class OptResult:
     best_fitness: float
     evaluations_used: int
     fitness_trace: np.ndarray
-    algorithm: str
 
 
 def child_rng(seed: int, *path: int) -> np.random.Generator:
@@ -151,11 +155,8 @@ def ifa_radius(pbest_fitnesses, spark_counts, cfg: SwarmConfig):
     Returns (radii, around_best) where ``around_best`` marks the
     flagged fireworks.
     """
-    pb = np.asarray(pbest_fitnesses, dtype=np.float64)
     s = np.asarray(spark_counts)
-    y_min = pb.min()
-    radii = cfg.r_max * (pb - y_min + cfg.epsilon) / ((pb - y_min).sum() + cfg.epsilon)
-    return radii, s == s.max()
+    return fa_radius(pbest_fitnesses, cfg), s == s.max()
 
 
 def update_pbest(pbest_x, pbest_f, x, f):
@@ -277,6 +278,12 @@ class _Budget:
 def optimize(objective, cfg: SwarmConfig) -> OptResult:
     """Minimize ``objective`` over [0,1]^d under cfg.max_evaluations.
 
+    ``optimize`` owns what the four algorithms share: it draws and
+    evaluates generation 0, starts the best-so-far trace, and stops the
+    run when the budget is spent.  Each runner starts from the evaluated
+    population, keeps its own state, and yields once at the end of each
+    generation; ``optimize`` then appends the best fitness so far.
+
     Parameters
     ----------
     objective : callable
@@ -293,49 +300,34 @@ def optimize(objective, cfg: SwarmConfig) -> OptResult:
         Best point found, its fitness, exact evaluation count, and the
         per-generation best-so-far trace.
     """
-    runner = {
-        "ifa": _run_fireworks,
-        "fa": _run_fireworks,
-        "pso": _run_pso,
-        "ba": _run_bat,
-    }[cfg.algorithm]
     budget = _Budget(objective, cfg.max_evaluations)
-    trace = runner(cfg, budget)
+    X = child_rng(cfg.seed, 0, 0).uniform(size=(cfg.population, cfg.dimensions))
+    f = budget.eval_batch(X)
+    trace = [budget.best_f]
+    # eval_batch shortens a batch only when it spends the budget, so a
+    # population cut short by the budget never reaches a generation
+    generations = _RUNNERS[cfg.algorithm](cfg, budget, X, f)
+    while budget.remaining > 0:
+        next(generations)
+        trace.append(budget.best_f)
     return OptResult(
         best_x=budget.best_x,
         best_fitness=budget.best_f,
         evaluations_used=budget.used,
         fitness_trace=np.asarray(trace),
-        algorithm=cfg.algorithm,
     )
 
 
-def _init_population(cfg, budget):
-    rng = child_rng(cfg.seed, 0, 0)
-    X = rng.uniform(size=(cfg.population, cfg.dimensions))
-    f = budget.eval_batch(X)
-    return X[: f.size], f
-
-
-def _run_fireworks(cfg, budget):
-    improved = cfg.algorithm == "ifa"
+def _fireworks(cfg, budget, X, f):
     n = cfg.population
-    X, f = _init_population(cfg, budget)
-    trace = [budget.best_f]
-    if f.size < n:
-        return trace
     pbest_x, pbest_f = X.copy(), f.copy()
-
-    gen = 0
-    while budget.remaining > 0:
-        gen += 1
+    for gen in itertools.count(1):
         pbest_x, pbest_f = update_pbest(pbest_x, pbest_f, X, f)
         counts = spark_count(f, cfg)
-        if improved:
+        if cfg.algorithm == "ifa":
             radii, around_best = ifa_radius(pbest_f, counts, cfg)
         else:
-            radii = fa_radius(f, cfg)
-            around_best = np.zeros(n, dtype=bool)
+            radii, around_best = fa_radius(f, cfg), np.zeros(n, dtype=bool)
 
         # one row per spark, in firework order; role 1 draws them all
         owner = np.repeat(np.arange(n), counts)
@@ -354,24 +346,15 @@ def _run_fireworks(cfg, budget):
         pool_f = np.concatenate([f, f_sparks])
         sel = select_next(pool_f, n, child_rng(cfg.seed, gen, 3))
         X, f = pool_x[sel], pool_f[sel]
-        trace.append(budget.best_f)
-    return trace
+        yield
 
 
-def _run_pso(cfg, budget):
+def _pso(cfg, budget, X, f):
     n, d = cfg.population, cfg.dimensions
-    X, f = _init_population(cfg, budget)
-    trace = [budget.best_f]
-    if f.size < n:
-        return trace
     V = np.zeros((n, d))
     pb_x, pb_f = X.copy(), f.copy()
-    gb = int(np.argmin(pb_f))
-    gb_x = pb_x[gb].copy()
-
-    gen = 0
-    while budget.remaining > 0:
-        gen += 1
+    for gen in itertools.count(1):
+        gb_x = pb_x[np.argmin(pb_f)]
         rng = child_rng(cfg.seed, gen, 0)
         r1 = rng.uniform(size=(n, d))
         r2 = rng.uniform(size=(n, d))
@@ -384,31 +367,16 @@ def _run_pso(cfg, budget):
         X = map_to_bounds(X + V, rng)
         f = budget.eval_batch(X)
         m = f.size
-        better = f < pb_f[:m]
-        pb_x[:m][better] = X[:m][better]
-        pb_f[:m][better] = f[better]
-        gb = int(np.argmin(pb_f))
-        gb_x = pb_x[gb].copy()
-        trace.append(budget.best_f)
-        if m < n:
-            break
-    return trace
+        pb_x[:m], pb_f[:m] = update_pbest(pb_x[:m], pb_f[:m], X[:m], f)
+        yield
 
 
-def _run_bat(cfg, budget):
+def _bat(cfg, budget, X, f):
     n, d = cfg.population, cfg.dimensions
-    X, f = _init_population(cfg, budget)
-    trace = [budget.best_f]
-    if f.size < n:
-        return trace
     V = np.zeros((n, d))
     loud = np.full(n, cfg.ba_loudness)
-    gb = int(np.argmin(f))
-    gb_x = X[gb].copy()
-
-    gen = 0
-    while budget.remaining > 0:
-        gen += 1
+    for gen in itertools.count(1):
+        gb_x = X[np.argmin(f)]
         rng = child_rng(cfg.seed, gen, 0)
         beta = rng.uniform(size=n)
         freq = cfg.ba_freq_min + (cfg.ba_freq_max - cfg.ba_freq_min) * beta
@@ -426,9 +394,7 @@ def _run_bat(cfg, budget):
         X[:m][accept] = cand[:m][accept]
         f[:m][accept] = f_cand[accept]
         loud[:m][accept] *= cfg.ba_loudness_decay
-        gb = int(np.argmin(f))
-        gb_x = X[gb].copy()
-        trace.append(budget.best_f)
-        if m < n:
-            break
-    return trace
+        yield
+
+
+_RUNNERS = {"ifa": _fireworks, "fa": _fireworks, "pso": _pso, "ba": _bat}

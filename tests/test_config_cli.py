@@ -544,6 +544,31 @@ class TestCompare:
         cfg = write_config(tmp_path, text, name="cmp.cfg")
         assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        '[1, 2]',
+        '{"config": [], "aggregate": {"median_avg": 0.7}}',
+        '{"aggregate": [0.7]}',
+        '{"aggregate": {"median_avg": "0.7"}}',
+        '{"aggregate": {"median_avg": NaN}}',
+        '{"aggregate": {"median_avg": -Infinity}}',
+        '{"aggregate": {"median_avg": true}}',
+        '{"aggregate": {"median_avg": 1%s}}' % ("0" * 400),
+        '{"aggregate": {"median_avg": 1.5}}',
+        '{"aggregate": {"median_avg": 1%s}}' % ("0" * 5000),
+    ], ids=["list", "config_list", "aggregate_list", "avg_string", "avg_nan", "avg_inf",
+            "avg_bool", "avg_huge_int", "avg_above_one", "avg_over_digit_limit"])
+    def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
+        good = tmp_path / "good.json"
+        good.write_text('{"aggregate": {"median_avg": 0.7}}')
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        cfg = write_config(tmp_path, "compare.reference = %s\ncompare.others = %s\n"
+                           % (good, bad), name="cmp.cfg")
+        assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "compare.json").exists()
+        assert not (tmp_path / "compare.txt").exists()
+
     def test_missing_reference_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "compare.others = x.json\n", name="cmp.cfg")
         assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 1

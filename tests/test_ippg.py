@@ -158,6 +158,15 @@ class TestFrameSequenceValidation:
         with pytest.raises(DataError):
             frames_of(np.zeros((30, 2, 2, 3)), fps=25)  # under 2 seconds
 
+    @pytest.mark.parametrize("fps", [float("nan"), 25.5, True], ids=["nan", "fraction", "bool"])
+    def test_fps_must_be_an_integer(self, fps):
+        with pytest.raises(DataError, match="fps"):
+            frames_of(np.zeros((60, 2, 2, 3)), fps=fps)
+
+    def test_numpy_integer_fps_accepted(self):
+        seq = frames_of(np.zeros((60, 2, 2, 3)), fps=np.int64(25))
+        assert seq.fps == 25
+
 
 class TestBandpass:
     FPS = 25.0

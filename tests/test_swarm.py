@@ -397,6 +397,22 @@ class TestOptimize:
             pts = np.vstack(seen)
             assert np.all((pts >= 0.0) & (pts <= 1.0)), algo
 
+    @pytest.mark.parametrize("algo", ["ifa", "fa", "pso", "ba"])
+    @pytest.mark.parametrize("budget", [3, 10])
+    def test_budget_spent_by_initial_population(self, algo, budget):
+        # the population is 10: the budget ends during (3) or exactly at
+        # (10) generation 0, so no generation runs
+        calls = []
+
+        def spy(X):
+            calls.append(len(X))
+            return sphere(X)
+
+        res = optimize(spy, cfg(algorithm=algo, max_evaluations=budget, seed=5))
+        assert calls == [budget]
+        assert res.evaluations_used == budget
+        assert res.fitness_trace.tolist() == [res.best_fitness]
+
     def test_pso_and_ba_runs_are_frozen(self):
         # recorded before objectives took whole batches; 605 leaves a
         # five-row last batch
