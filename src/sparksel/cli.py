@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__, ippg, selection, swarm
 from .config import ExperimentConfig, default_config, parse_config
-from .data import SynthSpec, generate_synthetic, load_csv, save_csv, stratified_split
+from .data import SynthSpec, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, DataError, InvariantError
 
 ENV_OUT_DIR = "SPARKSEL_OUT"
@@ -249,16 +249,14 @@ def _skb_run(cfg: ExperimentConfig, seed: int) -> dict:
     ds = _dataset_for_seed(cfg, seed)
     sel_cfg = _selection_config(cfg, seed, ds.d)
     t0 = time.perf_counter()
-    k = cfg.get("skb.k")
-    if k == 0:
-        k = math.ceil(sel_cfg.lambda_fraction * ds.d)
-    split = stratified_split(ds, sel_cfg.test_fraction, sel_cfg.split_seed)
+    k = cfg.get("skb.k") or math.ceil(sel_cfg.lambda_fraction * ds.d)
+    split, holdout = selection.protocol_split(ds, sel_cfg)
     mask = selection.skb(split.train, k)
-    loss, mset = selection.fitness(mask, split, sel_cfg)
+    loss, mset, model, holdout_metrics = selection.fit_mask(mask, split, sel_cfg, holdout)
     res = selection.SelectionResult(
         algorithm="skb", best_mask=mask, best_metrics=mset, loss=loss,
         importance=mask, evaluations=1, min_popcount=int(mask.sum()),
-        model=None, fitness_trace=np.array([loss]),
+        model=model, fitness_trace=np.array([loss]), holdout_metrics=holdout_metrics,
     )
     entry = _run_record(res, ds, sel_cfg, seed, t0)
     entry["k"] = int(k)
@@ -291,9 +289,6 @@ def _bench_runs(cfg: ExperimentConfig, seeds):
     objective = swarm.BENCHMARKS[function]
     dimensions = cfg.get("bench.dimensions")
     algorithms = cfg.get("bench.algorithms")
-    for algo in algorithms:
-        if algo not in swarm.ALGORITHMS:
-            raise ConfigError("bench.algorithms: unknown algorithm %r" % algo)
     runs = []
     for algo in algorithms:
         for seed in seeds:

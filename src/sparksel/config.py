@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, at_least, check_value, choice, fraction, positive
 from .selection import SelectionConfig
-from .swarm import SwarmConfig
+from .swarm import ALGORITHMS, SwarmConfig
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_.]*$")
 
@@ -25,7 +25,6 @@ class KeySpec:
     kind: str  # int | float | bool | str | int_list | str_list
     default: object
     check: object = None  # (value) -> error message or None
-    help: str = ""
 
 
 def _seed_list(v):
@@ -33,6 +32,12 @@ def _seed_list(v):
         return "must name at least one seed"
     if any(s < 0 for s in v):
         return "seeds must be >= 0"
+    return None
+
+
+def _algorithm_list(v):
+    if not v or len(set(v)) < len(v) or not set(v) <= set(ALGORITHMS):
+        return "must name distinct algorithms among %s" % (ALGORITHMS,)
     return None
 
 
@@ -50,10 +55,10 @@ def _field_specs(*classes):
 
 
 REGISTRY = {
-    "out_dir": KeySpec("str", "", help="output directory; empty defers to env/cwd"),
-    "seeds": KeySpec("int_list", [0], _seed_list, "run seeds"),
-    "threads": KeySpec("int", 1, choice(1), "evaluation runs on one thread; only 1"),
-    "data.path": KeySpec("str", "", help="CSV dataset; empty switches to synthesis"),
+    "out_dir": KeySpec("str", ""),
+    "seeds": KeySpec("int_list", [0], _seed_list),
+    "threads": KeySpec("int", 1, choice(1)),  # single-threaded; kept so old configs parse
+    "data.path": KeySpec("str", ""),
     "synth.n_samples": KeySpec("int", 200, at_least(4)),
     "synth.d_informative": KeySpec("int", 5, at_least(1)),
     "synth.d_noise": KeySpec("int", 20, at_least(0)),
@@ -62,8 +67,8 @@ REGISTRY = {
     **_field_specs(SelectionConfig, SwarmConfig),
     "bench.function": KeySpec("str", "sphere", choice("sphere", "rastrigin")),
     "bench.dimensions": KeySpec("int", 10, at_least(1)),
-    "bench.algorithms": KeySpec("str_list", ["ifa", "fa"]),
-    "skb.k": KeySpec("int", 0, at_least(0), "0 means the lambda floor"),
+    "bench.algorithms": KeySpec("str_list", ["ifa", "fa"], _algorithm_list),
+    "skb.k": KeySpec("int", 0, at_least(0)),  # 0 means the lambda floor
     "ippg.fps": KeySpec("int", 25, at_least(1)),
     "ippg.duration_s": KeySpec("float", 30.0, positive),
     "ippg.height": KeySpec("int", 8, at_least(1)),

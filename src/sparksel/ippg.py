@@ -10,8 +10,8 @@ The hot paths do no per-call setup: pixel sums run as one float64
 matrix product per block of frames, each (band, fps) filter design and
 its initial state are computed once per process, and so are each Hann
 window (per length) and in-band bin index array (per nfft, fps and
-band).  The filter works along the last axis, so a ROI's three channel
-rows go through it in one call per band.
+band).  The filter and the spectrum work along the last axis, so each
+ROI's features come from one (channel, band, T) array.
 
 Frame sequences round-trip through a small binary container: a
 16-byte little-endian header (magic "IPPG", u32 frame count, u16
@@ -208,10 +208,11 @@ class SpectrumResult:
     ``bin_freqs``/``bin_magnitudes`` keep every non-negative frequency
     bin so energy checks can run over the whole spectrum; ``freqs`` and
     ``magnitudes`` are the in-band slice; ``peak_hz`` is the frequency
-    of the largest in-band magnitude.
+    of the largest in-band magnitude: a float for a 1-D series, and a
+    list of floats, one per row, for a stack.
     """
 
-    peak_hz: float
+    peak_hz: float | list
     freqs: np.ndarray
     magnitudes: np.ndarray
     bin_freqs: np.ndarray
@@ -221,25 +222,24 @@ class SpectrumResult:
 
 def spectrum(series, fps: float, band: BandSpec) -> SpectrumResult:
     """Magnitude spectrum with a Hann window, zero-padded to the next
-    power of two.  Needs at least 64 samples.  The window and the
-    in-band bin indices come from caches per length and per (nfft, fps,
-    band)."""
+    power of two, along the last axis of a 1-D series or a 2-D (rows, T)
+    stack; each row comes out bit-equal to a 1-D call on it.  Needs at
+    least 64 samples.  The window and the in-band bin indices come from
+    caches per length and per (nfft, fps, band)."""
     _check_fps(fps)
     x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1 or x.size < 64:
-        raise DataError("series must be 1-D with length >= 64")
+    if x.ndim not in (1, 2) or x.shape[-1] < 64:
+        raise DataError("series must be 1-D or 2-D with last axis length >= 64")
     _check_finite(x)
-    nfft = _next_pow2(x.size)
-    windowed = x * _hann(x.size)
-    mags = np.abs(np.fft.rfft(windowed, n=nfft))
-    freqs = np.arange(mags.size) * (fps / nfft)
+    nfft = _next_pow2(x.shape[-1])
+    mags = np.abs(np.fft.rfft(x * _hann(x.shape[-1]), n=nfft, axis=-1))
+    freqs = np.arange(mags.shape[-1]) * (fps / nfft)
     bins = _band_bins(nfft, fps, band)
     if bins.size == 0:
         raise DataError("band [%g, %g] holds no FFT bin" % (band.low, band.high))
-    in_mags = mags[bins]
-    peak = freqs[bins[int(np.argmax(in_mags))]]
+    in_mags = mags[..., bins]
     return SpectrumResult(
-        peak_hz=float(peak),
+        peak_hz=freqs[bins[np.argmax(in_mags, axis=-1)]].tolist(),
         freqs=freqs[bins],
         magnitudes=in_mags,
         bin_freqs=freqs,
@@ -266,24 +266,19 @@ def _features_and_peaks(fore: FrameSequence, nose: FrameSequence):
     rows and spectra the vector is built from."""
     if fore.fps != nose.fps:
         raise DataError("fore fps %d != nose fps %d" % (fore.fps, nose.fps))
-    parts, peaks = [], []
+    parts = []
     for seq, tag in ((fore, "fore"), (nose, "nose")):
         sig = build_signal(seq, tag)
-        filtered = [bandpass(sig.samples, band, sig.fps) for _, band in BANDS]
-        for ch in range(3):
-            rows = [f[ch] for f in filtered]
-            for td in rows:
-                parts.append(
-                    np.array(
-                        [td.mean(), td.std(), td.min(), td.max(), np.median(td)]
-                    )
-                )
-            for td, (_, band) in zip(rows, BANDS):
-                spec = spectrum(td, sig.fps, band)
-                parts.append(spec.magnitudes)
-                if (tag, CHANNELS[ch]) == ("fore", "g"):
-                    peaks.append(spec.peak_hz)
-    return np.concatenate(parts), tuple(peaks)
+        td = np.stack([bandpass(sig.samples, band, sig.fps) for _, band in BANDS], axis=1)
+        stats = np.stack(
+            [td.mean(-1), td.std(-1), td.min(-1), td.max(-1), np.median(td, -1)], axis=-1
+        )
+        specs = [spectrum(td[:, b], sig.fps, band) for b, (_, band) in enumerate(BANDS)]
+        rows = [stats.reshape(len(CHANNELS), -1)] + [s.magnitudes for s in specs]
+        parts.append(np.concatenate(rows, axis=1).ravel())
+        if tag == "fore":
+            peaks = tuple(s.peak_hz[CHANNELS.index("g")] for s in specs)
+    return np.concatenate(parts), peaks
 
 
 @functools.lru_cache(maxsize=64)

@@ -79,7 +79,7 @@ class ImportanceTracker:
 @dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Outcome of one selection run; the skb filter fills it with its
-    single evaluated mask and no model."""
+    single evaluated mask."""
 
     algorithm: str
     best_mask: np.ndarray
@@ -88,7 +88,7 @@ class SelectionResult:
     importance: np.ndarray
     evaluations: int
     min_popcount: int
-    model: boosting.AdaBoostModel | None
+    model: boosting.AdaBoostModel
     fitness_trace: np.ndarray
     holdout_metrics: metrics.MetricSet | None = None
 
@@ -120,7 +120,9 @@ def _mask_rng(seed: int, mask) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _fit_mask(mask, split: SplitPair, cfg: SelectionConfig):
+def fit_mask(mask, split: SplitPair, cfg: SelectionConfig, holdout: Dataset | None = None):
+    """Train on the masked train columns and score the test side and
+    the ``holdout``: (loss, test metrics, model, holdout metrics)."""
     cols = np.flatnonzero(mask)
     if cols.size == 0:
         raise InvariantError("mask selects zero columns")
@@ -130,8 +132,8 @@ def _fit_mask(mask, split: SplitPair, cfg: SelectionConfig):
         rounds=cfg.classifier_rounds,
     )
     mset = _score(model, split.test, cols)
-    loss = -float(sum(mset.as_tuple()))
-    return loss, mset, model
+    held = None if holdout is None else _score(model, holdout, cols)
+    return -float(sum(mset.as_tuple())), mset, model, held
 
 
 def _score(model, part: Dataset, cols) -> metrics.MetricSet:
@@ -144,8 +146,16 @@ def fitness(mask, split: SplitPair, cfg: SelectionConfig):
     """Mask quality: train on masked train columns, score the test
     side, return (loss, metrics) with loss = -(sum of the six metrics).
     Lower is better; the range is [-6, 0]."""
-    loss, mset, _ = _fit_mask(mask, split, cfg)
-    return loss, mset
+    return fit_mask(mask, split, cfg)[:2]
+
+
+def protocol_split(ds: Dataset, cfg: SelectionConfig):
+    """(search split, holdout or None) of ``ds``: the holdout is carved
+    first, with split seed + 1, and the search split from the rest."""
+    if cfg.holdout_fraction == 0.0:
+        return stratified_split(ds, cfg.test_fraction, cfg.split_seed), None
+    carved = stratified_split(ds, cfg.holdout_fraction, cfg.split_seed + 1)
+    return stratified_split(carved.train, cfg.test_fraction, cfg.split_seed), carved.test
 
 
 def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
@@ -162,12 +172,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
             "swarm.dimensions=%d but dataset has %d features"
             % (cfg.swarm.dimensions, ds.d)
         )
-    work = ds
-    holdout = None
-    if cfg.holdout_fraction > 0.0:
-        carved = stratified_split(ds, cfg.holdout_fraction, cfg.split_seed + 1)
-        work, holdout = carved.train, carved.test
-    split = stratified_split(work, cfg.test_fraction, cfg.split_seed)
+    split, holdout = protocol_split(ds, cfg)
 
     lam = math.ceil(cfg.lambda_fraction * ds.d)
     tracker = ImportanceTracker.for_dimensions(ds.d)
@@ -200,10 +205,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
 
     best_raw = discretize(opt.best_x)
     best_mask = repair(best_raw, lam, _mask_rng(cfg.swarm.seed, best_raw))
-    loss, mset, model = _fit_mask(best_mask, split, cfg)
-    holdout_metrics = None
-    if holdout is not None:
-        holdout_metrics = _score(model, holdout, np.flatnonzero(best_mask))
+    loss, mset, model, holdout_metrics = fit_mask(best_mask, split, cfg, holdout)
     return SelectionResult(
         algorithm=cfg.swarm.algorithm,
         best_mask=best_mask,

@@ -320,9 +320,9 @@ def optimize(objective, cfg: SwarmConfig) -> OptResult:
 
 def _fireworks(cfg, budget, X, f):
     n = cfg.population
-    pbest_x, pbest_f = X.copy(), f.copy()
+    pbest_f = f
     for gen in itertools.count(1):
-        pbest_x, pbest_f = update_pbest(pbest_x, pbest_f, X, f)
+        pbest_f = np.where(f < pbest_f, f, pbest_f)
         counts = spark_count(f, cfg)
         if cfg.algorithm == "ifa":
             radii, around_best = ifa_radius(pbest_f, counts, cfg)

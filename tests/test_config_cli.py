@@ -14,6 +14,7 @@ import pytest
 
 import sparksel
 from sparksel import config as cfgmod
+from sparksel import data, selection
 from sparksel import ippg
 from sparksel.cli import main
 from sparksel.config import default_config, parse_config, serialize_config
@@ -322,6 +323,13 @@ class TestExitCodes:
         assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithms", ["", "ifa,ifa", "ifa,gwo"])
+    def test_bad_bench_algorithms_exit_one(self, tmp_path, capsys, algorithms):
+        cfg = write_config(tmp_path, "bench.algorithms = %s\n" % algorithms)
+        assert run_cli(["bench", "sphere", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "bench.algorithms" in capsys.readouterr().err
+        assert not (tmp_path / "bench_sphere.json").exists()
+
     @pytest.mark.parametrize("text", ["ippg.duration_s = inf", "ippg.hr_hz = inf"])
     def test_non_finite_ippg_setting_exits_one(self, tmp_path, capsys, text):
         cfg = write_config(tmp_path, "seeds = 0\n" + text + "\n")
@@ -353,6 +361,21 @@ class TestOtherCommands:
         assert run["algorithm"] == "skb"
         assert run["evaluations"] == 1
         assert sum(run["best_mask"]) == 2  # lambda floor when skb.k = 0
+
+    def test_baseline_skb_keeps_out_the_holdout(self, tmp_path):
+        """skb picks its mask on the search split carved from what the
+        holdout leaves, and grades it on the holdout as select does."""
+        cfg = write_config(tmp_path, QUICK + "split.holdout_fraction = 0.25\n")
+        assert run_cli(["baseline", "skb", "--config", cfg,
+                        "--out", str(tmp_path)]) == 0
+        run = load_report(tmp_path / "baseline_skb.json")["runs"][0]
+        ds = data.generate_synthetic(data.SynthSpec(
+            n_samples=40, d_informative=2, d_noise=4, class_imbalance=0.17,
+            noise_sigma=0.5, seed=0))
+        rest = data.stratified_split(ds, 0.25, 1).train
+        train = data.stratified_split(rest, 0.3, 0).train
+        assert run["best_mask"] == selection.skb(train, 2).tolist()
+        assert 0.0 <= run["holdout_metrics"]["avg"] <= 1.0
 
     def test_baseline_fa_switches_algorithm(self, tmp_path):
         cfg = write_config(tmp_path, QUICK)

@@ -361,6 +361,29 @@ class TestSpectrum:
         with pytest.raises(DataError):
             spectrum(np.zeros(63), self.FPS, HR_BAND)
 
+    def test_stack_rows_equal_single_calls(self):
+        rng = np.random.default_rng(12)
+        stack = bandpass(rng.standard_normal((3, 750)) * 20.0 + 128.0, HR_BAND, self.FPS)
+        for band in (HR_BAND, RR_BAND):
+            res = spectrum(stack, self.FPS, band)
+            assert res.magnitudes.shape == (3, res.freqs.size)
+            assert len(res.peak_hz) == 3
+            for ch in range(3):
+                row = spectrum(stack[ch], self.FPS, band)
+                assert np.array_equal(res.magnitudes[ch], row.magnitudes)
+                assert np.array_equal(res.bin_magnitudes[ch], row.bin_magnitudes)
+                assert res.peak_hz[ch] == row.peak_hz
+
+    def test_one_d_peak_is_a_python_float(self):
+        # reports and the benchmark's JSON records sum and serialize it
+        res = spectrum(np.sin(np.arange(750) / 3.0), self.FPS, HR_BAND)
+        assert type(res.peak_hz) is float
+
+    @pytest.mark.parametrize("series", [np.zeros((2, 3, 128)), np.zeros((3, 63))])
+    def test_bad_stack_shapes_rejected(self, series):
+        with pytest.raises(DataError):
+            spectrum(series, self.FPS, HR_BAND)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
