@@ -32,6 +32,8 @@ def _seed_list(v):
         return "must name at least one seed"
     if any(s < 0 for s in v):
         return "seeds must be >= 0"
+    if len(set(v)) < len(v):
+        return "seeds must be distinct"
     return None
 
 

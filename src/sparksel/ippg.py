@@ -10,8 +10,10 @@ The hot paths do no per-call setup: pixel sums run as one float64
 matrix product per block of frames, each (band, fps) filter design and
 its initial state are computed once per process, and so are each Hann
 window (per length) and in-band bin index array (per nfft, fps and
-band).  The filter and the spectrum work along the last axis, so each
-ROI's features come from one (channel, band, T) array.
+band).  The filter and the spectrum work along the last axis, so a
+capture pair whose ROIs have the same length makes one filter call and
+one spectrum call per band over both ROIs' channel rows; a mixed-length
+pair makes them once per ROI.
 
 Frame sequences round-trip through a small binary container: a
 16-byte little-endian header (magic "IPPG", u32 frame count, u16
@@ -263,20 +265,32 @@ def extract_features(fore: FrameSequence, nose: FrameSequence) -> np.ndarray:
 def _features_and_peaks(fore: FrameSequence, nose: FrameSequence):
     """``extract_features``' vector and the fore ROI's green-channel
     spectral peak in Hz per band (BANDS order), read off the filtered
-    rows and spectra the vector is built from."""
+    rows and spectra the vector is built from.
+
+    Both ROIs' channel rows go through each ``bandpass`` and
+    ``spectrum`` call together when their lengths match; every row
+    comes out bit-equal to a call of its own, so the vector does not
+    depend on the grouping."""
     if fore.fps != nose.fps:
         raise DataError("fore fps %d != nose fps %d" % (fore.fps, nose.fps))
-    parts = []
-    for seq, tag in ((fore, "fore"), (nose, "nose")):
-        sig = build_signal(seq, tag)
-        td = np.stack([bandpass(sig.samples, band, sig.fps) for _, band in BANDS], axis=1)
+    signals = [build_signal(seq, tag).samples for seq, tag in zip((fore, nose), ROI_TAGS)]
+    c = len(CHANNELS)
+    parts = [None] * len(signals)
+    # ROIs of one length share every call as one (channel rows, band, T)
+    # array; a mixed-length pair runs the loop once per length
+    for length in dict.fromkeys(s.shape[-1] for s in signals):
+        rois = [i for i, s in enumerate(signals) if s.shape[-1] == length]
+        x = np.concatenate([signals[i] for i in rois])
+        td = np.stack([bandpass(x, band, fore.fps) for _, band in BANDS], axis=1)
         stats = np.stack(
             [td.mean(-1), td.std(-1), td.min(-1), td.max(-1), np.median(td, -1)], axis=-1
         )
-        specs = [spectrum(td[:, b], sig.fps, band) for b, (_, band) in enumerate(BANDS)]
-        rows = [stats.reshape(len(CHANNELS), -1)] + [s.magnitudes for s in specs]
-        parts.append(np.concatenate(rows, axis=1).ravel())
-        if tag == "fore":
+        specs = [spectrum(td[:, b], fore.fps, band) for b, (_, band) in enumerate(BANDS)]
+        rows = [stats.reshape(len(x), -1)] + [s.magnitudes for s in specs]
+        rows = np.concatenate(rows, axis=1)
+        for k, i in enumerate(rois):
+            parts[i] = rows[k * c : (k + 1) * c].ravel()
+        if rois[0] == 0:
             peaks = tuple(s.peak_hz[CHANNELS.index("g")] for s in specs)
     return np.concatenate(parts), peaks
 

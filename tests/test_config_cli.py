@@ -330,6 +330,20 @@ class TestExitCodes:
         assert "bench.algorithms" in capsys.readouterr().err
         assert not (tmp_path / "bench_sphere.json").exists()
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_repeated_seeds_exit_one(self, tmp_path, capsys, where):
+        with pytest.raises(ConfigError, match="seeds"):
+            default_config().with_overrides({"seeds": [0, 0]})
+        if where == "config":
+            cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,0"))
+            args = ["select", "--config", cfg, "--out", str(tmp_path)]
+        else:
+            cfg = write_config(tmp_path, QUICK)
+            args = ["select", "--config", cfg, "--out", str(tmp_path), "--seeds", "1,0,1"]
+        assert run_cli(args) == 1
+        assert "seeds" in capsys.readouterr().err
+        assert not (tmp_path / "select.json").exists()
+
     @pytest.mark.parametrize("text", ["ippg.duration_s = inf", "ippg.hr_hz = inf"])
     def test_non_finite_ippg_setting_exits_one(self, tmp_path, capsys, text):
         cfg = write_config(tmp_path, "seeds = 0\n" + text + "\n")
@@ -458,8 +472,8 @@ class TestOtherCommands:
 
     def test_ippg_filters_each_roi_once(self, tmp_path, monkeypatch):
         """The HR/RR peaks come from the rows extract_features already
-        band-passed: per capture pair, one build_signal per ROI and one
-        bandpass per ROI and band."""
+        band-passed: per capture pair, one build_signal per ROI and, as
+        both ROIs have the same length, one bandpass per band."""
         calls = {"build_signal": 0, "bandpass": 0}
         for name in calls:
             original = getattr(ippg, name)
@@ -472,7 +486,7 @@ class TestOtherCommands:
         cfg = write_config(tmp_path, "seeds = 0,1\nippg.duration_s = 8\n"
                                      "ippg.height = 4\nippg.width = 4\n")
         assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert calls == {"build_signal": 2 * 2, "bandpass": 2 * 4}
+        assert calls == {"build_signal": 2 * 2, "bandpass": 2 * 2}
         assert load_report(tmp_path / "ippg.json")["aggregate"]["median_hr_error_hz"] <= 0.1
 
     def test_ippg_single_path_rejected(self, tmp_path):

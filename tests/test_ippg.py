@@ -458,6 +458,44 @@ class TestFeatures:
         feats = extract_features(fore, nose)
         assert hashlib.sha256(feats.tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("fore_seconds, nose_seconds", [(6.0, 6.0), (8.0, 6.0), (6.0, 8.0)])
+    def test_matches_per_roi_reference(self, fore_seconds, nose_seconds):
+        """Sharing the filter and spectrum calls between the ROIs gives
+        the bytes of one call per ROI, channel and band."""
+        fore = synth_pulse_frames(25, fore_seconds, 4, 4, hr_hz=1.2, rr_hz=0.25, seed=4)
+        nose = synth_pulse_frames(25, nose_seconds, 3, 5, hr_hz=1.1, rr_hz=0.3, seed=5)
+        want, want_peaks = [], []
+        for seq, tag in ((fore, "fore"), (nose, "nose")):
+            for ch, row in zip(ippg.CHANNELS, build_signal(seq, tag).samples):
+                td = [bandpass(row, band, 25) for _, band in ippg.BANDS]
+                for x in td:
+                    want += [x.mean(), x.std(), x.min(), x.max(), np.median(x)]
+                specs = [spectrum(x, 25, band) for x, (_, band) in zip(td, ippg.BANDS)]
+                for spec in specs:
+                    want += list(spec.magnitudes)
+                if (tag, ch) == ("fore", "g"):
+                    want_peaks = [spec.peak_hz for spec in specs]
+        feats, peaks = ippg._features_and_peaks(fore, nose)
+        assert feats.tobytes() == np.array(want).tobytes()
+        assert list(peaks) == want_peaks
+        assert [type(p) for p in peaks] == [float, float]
+
+    @pytest.mark.parametrize("nose_seconds, n_calls", [(6.0, 2), (8.0, 4)])
+    def test_equal_lengths_share_each_call(self, monkeypatch, nose_seconds, n_calls):
+        calls = {"bandpass": 0, "spectrum": 0}
+        for name in calls:
+            original = getattr(ippg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ippg, name, counted)
+        fore = synth_pulse_frames(25, 6.0, 3, 3, hr_hz=1.2, rr_hz=0.25, seed=6)
+        nose = synth_pulse_frames(25, nose_seconds, 3, 3, hr_hz=1.2, rr_hz=0.25, seed=7)
+        ippg._features_and_peaks(fore, nose)
+        assert calls == {"bandpass": n_calls, "spectrum": n_calls}
+
     def test_mismatched_fps_rejected(self):
         a = synth_pulse_frames(25, 5.0, 3, 3, hr_hz=1.2, rr_hz=0.25, seed=0)
         b = synth_pulse_frames(20, 5.0, 3, 3, hr_hz=1.2, rr_hz=0.25, seed=0)
