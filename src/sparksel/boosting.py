@@ -131,27 +131,22 @@ def _matrix(X):
 def presort(X):
     """The weight-independent part of the stump scan, built once per fit.
 
-    Returns ``(order, tied, thresholds)``.  ``order`` and
-    ``thresholds`` are shaped (d, n) with one row per feature: the
-    stable row order by value and the candidate threshold at split
-    position k, where k rows fall below it (one below the minimum at
-    k = 0, else the midpoint of sorted values k-1 and k).  ``tied``
-    holds the flat indices, into the (d, n, 2) error array of
-    ``train_stump``, of both polarities at every position k that is no
-    split because sorted values k-1 and k are equal.  ``X`` must
-    already be a finite 2-D float64 matrix.
+    Returns ``(order, tied, thresholds)``, each shaped (d, n) with one
+    row per feature: the stable row order by value, whether split
+    position k (k rows fall below the threshold) is no split because
+    sorted values k-1 and k are equal, and the candidate threshold at k
+    (one below the minimum at k = 0, else the midpoint of sorted values
+    k-1 and k).  ``X`` must already be a finite 2-D float64 matrix.
     """
     cols = X.T
     order = np.argsort(cols, axis=1, kind="stable")
     v = np.take_along_axis(cols, order, axis=1)
-    # split position k + 1 of feature j is no split when sorted values
-    # k and k + 1 are equal; its errors sit at 2 * (j * n + k + 1) + p
-    j, k = np.nonzero(v[:, 1:] == v[:, :-1])
-    tied = (2 * (j * order.shape[1] + k + 1))[:, None] + np.arange(2)
+    tied = np.zeros(order.shape, dtype=bool)
+    tied[:, 1:] = v[:, 1:] == v[:, :-1]
     thresholds = np.empty(order.shape)
     thresholds[:, 0] = v[:, 0] - 1.0
     thresholds[:, 1:] = 0.5 * (v[:, :-1] + v[:, 1:])
-    return order, tied.ravel(), thresholds
+    return order, tied, thresholds
 
 
 def train_stump(X, y, w, view=None):
@@ -208,7 +203,7 @@ def train_stump(X, y, w, view=None):
     plus += cum_pos
     np.subtract(total_pos, cum_pos, out=minus)
     minus += cum_neg
-    errs.reshape(-1)[tied] = np.inf
+    errs[tied] = np.inf
     best = int(np.argmin(errs))  # first hit wins on ties
     j, k, p = np.unravel_index(best, errs.shape)
     stump = Stump(
