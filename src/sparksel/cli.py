@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import statistics
 import sys
@@ -32,7 +31,7 @@ import time
 import numpy as np
 
 from . import __version__, ippg, selection, swarm
-from .config import ExperimentConfig, default_config, parse_config
+from .config import ExperimentConfig, default_config, parse_config, parse_value
 from .data import SynthSpec, generate_synthetic, load_csv, save_csv
 from .errors import ConfigError, DataError, InvariantError
 
@@ -60,11 +59,9 @@ def _build_parser() -> _Parser:
 
     add("select", "wrapper feature selection")
     p = add("baseline", "baseline selectors")
-    p.add_argument("variant", choices=("fa", "pso", "ba", "skb"))
+    p.add_argument("variant", choices=swarm.ALGORITHMS[1:] + ("skb",))
     p = add("bench", "swarm benchmark functions")
-    p.add_argument(
-        "function", nargs="?", choices=("sphere", "rastrigin"), default=None
-    )
+    p.add_argument("function", nargs="?", choices=tuple(swarm.BENCHMARKS), default=None)
     add("synth", "emit synthetic datasets")
     add("ippg", "signal pipeline on frame files or synthetic captures")
     add("importance", "selection plus importance ranking")
@@ -95,10 +92,7 @@ def _dispatch(argv) -> None:
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.seeds is not None:
-        try:
-            overrides["seeds"] = [int(p) for p in args.seeds.split(",")]
-        except ValueError:
-            raise ConfigError("--seeds expects integers, got %r" % args.seeds) from None
+        overrides["seeds"] = parse_value("seeds", args.seeds)
     if args.command == "baseline" and args.variant != "skb":
         overrides["swarm.algorithm"] = args.variant
     if args.command == "bench" and args.function is not None:
@@ -187,16 +181,7 @@ def _dataset_for_seed(cfg: ExperimentConfig, seed: int):
     path = cfg.get("data.path")
     if path:
         return load_csv(path)
-    return generate_synthetic(
-        SynthSpec(
-            n_samples=cfg.get("synth.n_samples"),
-            d_informative=cfg.get("synth.d_informative"),
-            d_noise=cfg.get("synth.d_noise"),
-            class_imbalance=cfg.get("synth.class_imbalance"),
-            noise_sigma=cfg.get("synth.noise_sigma"),
-            seed=seed,
-        )
-    )
+    return generate_synthetic(SynthSpec(seed=seed, **cfg.field_values(SynthSpec)))
 
 
 def _swarm_config(cfg: ExperimentConfig, seed: int, dimensions: int) -> swarm.SwarmConfig:
@@ -249,14 +234,14 @@ def _skb_run(cfg: ExperimentConfig, seed: int) -> dict:
     ds = _dataset_for_seed(cfg, seed)
     sel_cfg = _selection_config(cfg, seed, ds.d)
     t0 = time.perf_counter()
-    k = cfg.get("skb.k") or math.ceil(sel_cfg.lambda_fraction * ds.d)
+    k = cfg.get("skb.k") or sel_cfg.floor
     split, holdout = selection.protocol_split(ds, sel_cfg)
     mask = selection.skb(split.train, k)
-    loss, mset, model, holdout_metrics = selection.fit_mask(mask, split, sel_cfg, holdout)
+    loss, mset, holdout_metrics = selection.fit_mask(mask, split, sel_cfg, holdout)
     res = selection.SelectionResult(
         algorithm="skb", best_mask=mask, best_metrics=mset, loss=loss,
         importance=mask, evaluations=1, min_popcount=int(mask.sum()),
-        model=model, fitness_trace=np.array([loss]), holdout_metrics=holdout_metrics,
+        fitness_trace=np.array([loss]), holdout_metrics=holdout_metrics,
     )
     entry = _run_record(res, ds, sel_cfg, seed, t0)
     entry["k"] = int(k)

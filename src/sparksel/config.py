@@ -13,9 +13,10 @@ import numbers
 import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, at_least, check_value, choice, fraction, positive
+from .data import SynthSpec
+from .errors import ConfigError, at_least, check_value, choice, positive
 from .selection import SelectionConfig
-from .swarm import ALGORITHMS, SwarmConfig
+from .swarm import ALGORITHMS, BENCHMARKS, SwarmConfig
 
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_.]*$")
 
@@ -61,13 +62,8 @@ REGISTRY = {
     "seeds": KeySpec("int_list", [0], _seed_list),
     "threads": KeySpec("int", 1, choice(1)),  # single-threaded; kept so old configs parse
     "data.path": KeySpec("str", ""),
-    "synth.n_samples": KeySpec("int", 200, at_least(4)),
-    "synth.d_informative": KeySpec("int", 5, at_least(1)),
-    "synth.d_noise": KeySpec("int", 20, at_least(0)),
-    "synth.class_imbalance": KeySpec("float", 0.17, fraction(0, 1)),
-    "synth.noise_sigma": KeySpec("float", 1.0, at_least(0)),
-    **_field_specs(SelectionConfig, SwarmConfig),
-    "bench.function": KeySpec("str", "sphere", choice("sphere", "rastrigin")),
+    **_field_specs(SynthSpec, SelectionConfig, SwarmConfig),
+    "bench.function": KeySpec("str", "sphere", choice(*BENCHMARKS)),
     "bench.dimensions": KeySpec("int", 10, at_least(1)),
     "bench.algorithms": KeySpec("str_list", ["ifa", "fa"], _algorithm_list),
     "skb.k": KeySpec("int", 0, at_least(0)),  # 0 means the lambda floor
@@ -145,7 +141,10 @@ def _validate(key, value):
         raise ConfigError("%s: %s (got %r)" % (key, msg, value))
 
 
-def _parse_value(key: str, spec: KeySpec, text: str):
+def parse_value(key: str, text: str):
+    """Typed value of ``text`` for registry ``key``, not yet range
+    checked; ConfigError if it does not parse as the key's kind."""
+    spec = REGISTRY[key]
     try:
         if spec.kind == "int":
             return int(text)
@@ -196,7 +195,7 @@ def parse_config(path) -> ExperimentConfig:
             if key in seen:
                 raise ConfigError("%s line %d: duplicate key '%s'" % (path, lineno, key))
             seen.add(key)
-            value = _parse_value(key, REGISTRY[key], rest)
+            value = parse_value(key, rest)
             _validate(key, value)
             values[key] = value
     return ExperimentConfig(values=values)

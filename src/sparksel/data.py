@@ -2,7 +2,9 @@
 
 Datasets are dense float64 matrices with a binary label per row
 (1 = positive class).  All randomness is seeded and every operation
-here is deterministic given its arguments.
+here is deterministic given its arguments; a negative seed raises
+DataError.  ``SynthSpec``'s fields define the ``synth.*`` config keys
+(name, default, kind and range; see ``errors.setting``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, at_least, check_fields, fraction, setting
 
 LABEL_COLUMN = "label"
 
@@ -176,25 +178,18 @@ class SynthSpec:
     ``d_informative`` leading columns get a label-dependent mean shift
     (class 0 at -0.5, class 1 at +0.5) plus Gaussian noise of width
     ``noise_sigma``; the remaining ``d_noise`` columns are standard
-    normal and independent of the label.
+    normal and independent of the label.  A bad value raises DataError.
     """
 
-    n_samples: int
-    d_informative: int
-    d_noise: int
-    class_imbalance: float
-    noise_sigma: float
-    seed: int
+    n_samples: int = setting(200, "synth.n_samples", at_least(4))
+    d_informative: int = setting(5, "synth.d_informative", at_least(1))
+    d_noise: int = setting(20, "synth.d_noise", at_least(0))
+    class_imbalance: float = setting(0.17, "synth.class_imbalance", fraction(0, 1))
+    noise_sigma: float = setting(1.0, "synth.noise_sigma", at_least(0))
+    seed: int = setting(0, check=at_least(0))
 
     def __post_init__(self):
-        if self.n_samples < 4:
-            raise DataError("n_samples must be >= 4")
-        if self.d_informative < 1 or self.d_noise < 0:
-            raise DataError("need d_informative >= 1 and d_noise >= 0")
-        if not 0.0 < self.class_imbalance < 1.0:
-            raise DataError("class_imbalance must lie in (0, 1)")
-        if self.noise_sigma < 0.0:
-            raise DataError("noise_sigma must be >= 0")
+        check_fields(self, DataError)
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:
@@ -241,6 +236,8 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int) -> SplitPair:
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must lie in (0, 1)")
+    if seed < 0:
+        raise DataError("seed must be >= 0 (got %r)" % seed)
     test_mask = np.zeros(ds.n, dtype=bool)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC1A55)))
     for cls in (0, 1):

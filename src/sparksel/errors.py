@@ -8,8 +8,9 @@ value is acceptable.  ``setting`` attaches a check and a config key to
 a dataclass field, so the field is the one place that defines the
 key's name, default, kind (its annotation) and range; ``check_fields``
 applies the checks and ``config.REGISTRY`` is derived from the same
-fields.  ``check_value`` is the one place both apply them: every float
-setting must also be finite.
+fields (``data.SynthSpec``, ``selection.SelectionConfig`` and
+``swarm.SwarmConfig``).  ``check_value`` is the one place both apply
+them: every float setting must also be finite.
 """
 
 import math
@@ -67,11 +68,11 @@ def check_value(kind: str, check, value):
     return check(value) if check is not None else None
 
 
-def check_fields(obj) -> None:
-    """Raise ConfigError naming the first field of dataclass ``obj``
-    whose value breaks ``check_value`` for its annotated kind."""
+def check_fields(obj, error=ConfigError) -> None:
+    """Raise ``error`` naming the first field of dataclass ``obj`` whose
+    value breaks ``check_value`` for its annotated kind."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         msg = check_value(f.type, f.metadata.get("check"), value)
         if msg:
-            raise ConfigError("%s: %s (got %r)" % (f.name, msg, value))
+            raise error("%s: %s (got %r)" % (f.name, msg, value))

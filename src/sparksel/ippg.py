@@ -374,6 +374,8 @@ def synth_pulse_frames(
     mean-signal SNR in dB is
     10*log10((hr_amp**2 / 2) / (noise_std**2 / (height*width))).
     """
+    if seed < 0:
+        raise DataError("seed must be >= 0 (got %r)" % seed)
     t = np.arange(int(round(fps * seconds))) / float(fps)
     wave = (
         base

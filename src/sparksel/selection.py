@@ -52,6 +52,11 @@ class SelectionConfig:
     def __post_init__(self):
         check_fields(self)
 
+    @property
+    def floor(self) -> int:
+        """lambda: the fewest features a mask may keep."""
+        return math.ceil(self.lambda_fraction * self.swarm.dimensions)
+
 
 @dataclass
 class ImportanceTracker:
@@ -88,7 +93,6 @@ class SelectionResult:
     importance: np.ndarray
     evaluations: int
     min_popcount: int
-    model: boosting.AdaBoostModel
     fitness_trace: np.ndarray
     holdout_metrics: metrics.MetricSet | None = None
 
@@ -122,7 +126,7 @@ def _mask_rng(seed: int, mask) -> np.random.Generator:
 
 def fit_mask(mask, split: SplitPair, cfg: SelectionConfig, holdout: Dataset | None = None):
     """Train on the masked train columns and score the test side and
-    the ``holdout``: (loss, test metrics, model, holdout metrics)."""
+    the ``holdout``: (loss, test metrics, holdout metrics)."""
     cols = np.flatnonzero(mask)
     if cols.size == 0:
         raise InvariantError("mask selects zero columns")
@@ -133,7 +137,7 @@ def fit_mask(mask, split: SplitPair, cfg: SelectionConfig, holdout: Dataset | No
     )
     mset = _score(model, split.test, cols)
     held = None if holdout is None else _score(model, holdout, cols)
-    return -float(sum(mset.as_tuple())), mset, model, held
+    return -float(sum(mset.as_tuple())), mset, held
 
 
 def _score(model, part: Dataset, cols) -> metrics.MetricSet:
@@ -174,7 +178,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
         )
     split, holdout = protocol_split(ds, cfg)
 
-    lam = math.ceil(cfg.lambda_fraction * ds.d)
+    lam = cfg.floor
     tracker = ImportanceTracker.for_dimensions(ds.d)
     min_popcount = ds.d + 1
     losses = {}  # packed repaired-mask bits -> loss, for this run only
@@ -205,7 +209,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
 
     best_raw = discretize(opt.best_x)
     best_mask = repair(best_raw, lam, _mask_rng(cfg.swarm.seed, best_raw))
-    loss, mset, model, holdout_metrics = fit_mask(best_mask, split, cfg, holdout)
+    loss, mset, holdout_metrics = fit_mask(best_mask, split, cfg, holdout)
     return SelectionResult(
         algorithm=cfg.swarm.algorithm,
         best_mask=best_mask,
@@ -214,7 +218,6 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
         importance=tracker.counts.copy(),
         evaluations=opt.evaluations_used,
         min_popcount=min_popcount,
-        model=model,
         fitness_trace=opt.fitness_trace,
         holdout_metrics=holdout_metrics,
     )

@@ -18,7 +18,7 @@ from sparksel import data, selection
 from sparksel import ippg
 from sparksel.cli import main
 from sparksel.config import default_config, parse_config, serialize_config
-from sparksel.errors import ConfigError
+from sparksel.errors import ConfigError, DataError
 from sparksel.selection import SelectionConfig
 from sparksel.swarm import SwarmConfig
 
@@ -237,6 +237,34 @@ def test_derived_keys_are_exactly_the_dataclass_fields():
     for cls in (SwarmConfig, SelectionConfig):
         want = {name: cfg.get(k) for k, (c, name, _) in DERIVED_KEYS.items() if c is cls}
         assert cfg.field_values(cls) == want
+
+
+# synth.* key -> a value outside its range
+SYNTH_BAD = {
+    "synth.n_samples": 3,
+    "synth.d_informative": 0,
+    "synth.d_noise": -1,
+    "synth.class_imbalance": 1.0,
+    "synth.noise_sigma": -0.5,
+}
+
+
+def test_synth_keys_are_synthspec_fields():
+    """Each synth.* key has one default, kind and range rule: the
+    SynthSpec field's.  The config reports a bad value as ConfigError,
+    SynthSpec the same value as DataError."""
+    fields = {f.metadata["key"]: f for f in dataclasses.fields(data.SynthSpec)
+              if f.metadata.get("key")}
+    assert set(fields) == {k for k in cfgmod.REGISTRY if k.startswith("synth.")}
+    assert set(fields) == set(SYNTH_BAD)
+    for key, field in fields.items():
+        spec = cfgmod.REGISTRY[key]
+        assert (spec.default, spec.kind) == (field.default, field.type)
+        assert type(spec.default) is type(field.default)
+        with pytest.raises(ConfigError, match=key):
+            default_config().with_overrides({key: SYNTH_BAD[key]})
+        with pytest.raises(DataError, match=field.name):
+            data.SynthSpec(**{field.name: SYNTH_BAD[key]})
 
 
 def run_cli(args):

@@ -156,6 +156,15 @@ class TestSynthetic:
             SynthSpec(n_samples=10, d_informative=1, d_noise=1,
                       class_imbalance=1.0, noise_sigma=1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_sigma_rejected(self, sigma):
+        with pytest.raises(DataError, match="noise_sigma"):
+            SynthSpec(noise_sigma=sigma)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed"):
+            generate_synthetic(SynthSpec(seed=-1))
+
 
 class TestStratifiedSplit:
     def test_per_class_test_counts(self):
@@ -202,6 +211,10 @@ class TestStratifiedSplit:
         a = stratified_split(ds, test_fraction=0.3, seed=0)
         b = stratified_split(ds, test_fraction=0.3, seed=1)
         assert not np.array_equal(a.test.features, b.test.features)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed"):
+            stratified_split(small_dataset(), 0.3, -1)
 
     def test_too_few_per_class_rejected(self):
         # one sample in a class cannot land on both sides of the split

@@ -522,6 +522,10 @@ class TestSynthPulse:
         b = synth_pulse_frames(25, 3.0, 3, 3, hr_hz=1.0, rr_hz=0.2, seed=6)
         assert np.array_equal(a.pixels, b.pixels)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed"):
+            synth_pulse_frames(25, 3.0, 2, 2, 1.2, 0.25, seed=-1)
+
 
 class TestBinaryContainer:
     def test_round_trip_exact(self, tmp_path):
