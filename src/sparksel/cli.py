@@ -350,24 +350,12 @@ def _ippg_runs(cfg: ExperimentConfig, seeds, out_dir):
         nose = ippg.read_frames(nose_path)
         return [_ippg_entry(fore, nose, None, None)], {}
 
-    fps = cfg.get("ippg.fps")
-    make = lambda seed: ippg.synth_pulse_frames(
-        fps=fps,
-        seconds=cfg.get("ippg.duration_s"),
-        height=cfg.get("ippg.height"),
-        width=cfg.get("ippg.width"),
-        hr_hz=cfg.get("ippg.hr_hz"),
-        rr_hz=cfg.get("ippg.rr_hz"),
-        hr_amp=cfg.get("ippg.hr_amp"),
-        rr_amp=cfg.get("ippg.rr_amp"),
-        noise_std=cfg.get("ippg.noise_std"),
-        seed=seed,
-    )
-    injected = (cfg.get("ippg.hr_hz"), cfg.get("ippg.rr_hz"))
+    pulse = cfg.field_values(ippg.PulseSpec)
+    injected = (pulse["hr_hz"], pulse["rr_hz"])
     runs = []
     for seed in seeds:
-        fore = make(2 * seed)
-        nose = make(2 * seed + 1)
+        fore = ippg.synth_pulse_frames(seed=2 * seed, **pulse)
+        nose = ippg.synth_pulse_frames(seed=2 * seed + 1, **pulse)
         if cfg.get("ippg.emit_frames"):
             for tag, seq in (("fore", fore), ("nose", nose)):
                 path = os.path.join(out_dir, "frames_%s_%d.ippg" % (tag, seed))

@@ -4,17 +4,21 @@ One assignment per line; full-line comments start with ``#``; blank
 lines are ignored.  Values are typed per key (int, float, bool,
 string, or comma-separated lists), unknown and duplicate keys are
 rejected, and every parse returns the complete effective map with
-defaults filled, so parse -> serialize -> parse is the identity.
+defaults filled, so parse -> serialize -> parse is the identity.  Keys
+that set a dataclass field (``data.SynthSpec``, ``ippg.PulseSpec``,
+``selection.SelectionConfig``, ``swarm.SwarmConfig``) are declared by
+that field; every value passes ``errors.check_value``, the one kind,
+finiteness and range rule.
 """
 
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass, fields
 
 from .data import SynthSpec
-from .errors import ConfigError, at_least, check_value, choice, positive
+from .errors import ConfigError, at_least, check_value, choice
+from .ippg import PulseSpec
 from .selection import SelectionConfig
 from .swarm import ALGORITHMS, BENCHMARKS, SwarmConfig
 
@@ -67,15 +71,7 @@ REGISTRY = {
     "bench.dimensions": KeySpec("int", 10, at_least(1)),
     "bench.algorithms": KeySpec("str_list", ["ifa", "fa"], _algorithm_list),
     "skb.k": KeySpec("int", 0, at_least(0)),  # 0 means the lambda floor
-    "ippg.fps": KeySpec("int", 25, at_least(1)),
-    "ippg.duration_s": KeySpec("float", 30.0, positive),
-    "ippg.height": KeySpec("int", 8, at_least(1)),
-    "ippg.width": KeySpec("int", 8, at_least(1)),
-    "ippg.hr_hz": KeySpec("float", 1.2, positive),
-    "ippg.rr_hz": KeySpec("float", 0.25, positive),
-    "ippg.hr_amp": KeySpec("float", 2.0, at_least(0)),
-    "ippg.rr_amp": KeySpec("float", 1.0, at_least(0)),
-    "ippg.noise_std": KeySpec("float", 2.0, at_least(0)),
+    **_field_specs(PulseSpec),
     "ippg.fore_path": KeySpec("str", ""),
     "ippg.nose_path": KeySpec("str", ""),
     "ippg.emit_frames": KeySpec("bool", False),
@@ -119,23 +115,10 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig(values={k: s.default for k, s in REGISTRY.items()})
 
 
-_KIND_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
-
-
-def _is_kind(kind: str, value) -> bool:
-    if kind.endswith("_list"):
-        return isinstance(value, list) and all(_is_kind(kind[:-5], v) for v in value)
-    if isinstance(value, bool):  # an int subclass, but only bool keys take it
-        return kind == "bool"
-    return isinstance(value, _KIND_TYPES[kind])
-
-
 def _validate(key, value):
     spec = REGISTRY.get(key)
     if spec is None:
         raise ConfigError("unknown key '%s'" % key)
-    if not _is_kind(spec.kind, value):
-        raise ConfigError("%s: wrong type, want %s (got %r)" % (key, spec.kind, value))
     msg = check_value(spec.kind, spec.check, value)
     if msg:
         raise ConfigError("%s: %s (got %r)" % (key, msg, value))

@@ -8,12 +8,14 @@ value is acceptable.  ``setting`` attaches a check and a config key to
 a dataclass field, so the field is the one place that defines the
 key's name, default, kind (its annotation) and range; ``check_fields``
 applies the checks and ``config.REGISTRY`` is derived from the same
-fields (``data.SynthSpec``, ``selection.SelectionConfig`` and
-``swarm.SwarmConfig``).  ``check_value`` is the one place both apply
-them: every float setting must also be finite.
+fields (``data.SynthSpec``, ``ippg.PulseSpec``,
+``selection.SelectionConfig`` and ``swarm.SwarmConfig``).
+``check_value`` holds the one rule both apply: the value must be of
+its kind, a float must be finite, then it must pass its range check.
 """
 
 import math
+import numbers
 from dataclasses import MISSING, field, fields
 
 
@@ -60,19 +62,33 @@ def setting(default=MISSING, key=None, check=None):
     return field(default=default, metadata={"key": key, "check": check})
 
 
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
 def check_value(kind: str, check, value):
-    """Error message for a setting of ``kind`` ("float", "int", ...), or
-    None: a float must be finite, then pass its range ``check``."""
+    """Error message for a setting of ``kind`` ("int", "float", "bool",
+    "str", or "int_list"/"str_list" for a list of them), or None.  The
+    value must be of the kind (a bool only of "bool", though it is an
+    int), a float must be finite, then it must pass its range ``check``."""
+    base, is_list, _ = kind.partition("_list")
+    items = value if is_list else [value]
+    if not isinstance(items, list) or not all(
+        isinstance(v, _KINDS[base]) and isinstance(v, bool) == (base == "bool") for v in items
+    ):
+        return "wrong type, want %s" % kind
     if kind == "float" and not math.isfinite(value):
         return "must be finite"
     return check(value) if check is not None else None
 
 
 def check_fields(obj, error=ConfigError) -> None:
-    """Raise ``error`` naming the first field of dataclass ``obj`` whose
-    value breaks ``check_value`` for its annotated kind."""
+    """Raise ``error`` naming the first ``setting`` field of dataclass
+    ``obj`` whose value breaks ``check_value`` for its annotated kind;
+    other fields are not checked."""
     for f in fields(obj):
+        if "check" not in f.metadata:
+            continue
         value = getattr(obj, f.name)
-        msg = check_value(f.type, f.metadata.get("check"), value)
+        msg = check_value(f.type, f.metadata["check"], value)
         if msg:
             raise error("%s: %s (got %r)" % (f.name, msg, value))

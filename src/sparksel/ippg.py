@@ -19,20 +19,22 @@ Frame sequences round-trip through a small binary container: a
 16-byte little-endian header (magic "IPPG", u32 frame count, u16
 height, u16 width, u8 channels, u8 fps, 2 reserved bytes) followed by
 row-major u8 pixels.
+
+``PulseSpec``'s fields define the ``ippg.*`` synthesis config keys
+(name, default, kind and range; see ``errors.setting``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, sosfilt, sosfilt_zi
 
-from .errors import DataError
+from .errors import DataError, at_least, check_fields, positive, setting
 
 MAGIC = b"IPPG"
 _HEADER = struct.Struct("<4sIHHBB2x")
@@ -66,19 +68,17 @@ class FrameSequence:
     """Stack of RGB frames: u8 tensor [T', H, W, C], C = 3 in R,G,B order."""
 
     pixels: np.ndarray
-    fps: int
+    fps: int = setting(check=at_least(1))
 
     def __post_init__(self):
-        p = self.pixels
+        check_fields(self, DataError)
+        p, fps = self.pixels, self.fps
         if p.ndim != 4 or p.shape[3] != 3:
             raise DataError("pixels must be [T', H, W, 3], got %s" % (p.shape,))
         if p.shape[1] == 0 or p.shape[2] == 0:
             raise DataError("frames must be nonempty, got %d x %d" % p.shape[1:3])
         if p.dtype != np.uint8:
             raise DataError("pixels must be u8, got %s" % p.dtype)
-        fps = self.fps
-        if isinstance(fps, bool) or not isinstance(fps, numbers.Integral) or fps < 1:
-            raise DataError("fps must be an integer >= 1, got %r" % (fps,))
         if p.shape[0] < 2 * fps:
             raise DataError("need at least 2 seconds of frames: %d < 2*%d" % (p.shape[0], fps))
 
@@ -354,37 +354,47 @@ def read_frames(path) -> FrameSequence:
     return FrameSequence(pixels=pixels, fps=int(fps))
 
 
-def synth_pulse_frames(
-    fps: int,
-    seconds: float,
-    height: int,
-    width: int,
-    hr_hz: float,
-    rr_hz: float,
-    hr_amp: float = 2.0,
-    rr_amp: float = 1.0,
-    noise_std: float = 2.0,
-    base: float = 128.0,
-    seed: int = 0,
-) -> FrameSequence:
-    """Synthetic capture: a flat field carrying two sinusoids (cardiac
-    and respiratory) plus per-pixel Gaussian noise, quantized to u8.
+@dataclass(frozen=True)
+class PulseSpec:
+    """Recipe for a synthetic capture: ``seconds`` of ``height`` x
+    ``width`` frames at ``fps`` carrying a cardiac and a respiratory
+    sinusoid (frequency in Hz, amplitude in pixel levels) and per-pixel
+    Gaussian noise.  A bad value raises DataError."""
+
+    fps: int = setting(25, "ippg.fps", at_least(1))
+    seconds: float = setting(30.0, "ippg.duration_s", positive)
+    height: int = setting(8, "ippg.height", at_least(1))
+    width: int = setting(8, "ippg.width", at_least(1))
+    hr_hz: float = setting(1.2, "ippg.hr_hz", positive)
+    rr_hz: float = setting(0.25, "ippg.rr_hz", positive)
+    hr_amp: float = setting(2.0, "ippg.hr_amp", at_least(0))
+    rr_amp: float = setting(1.0, "ippg.rr_amp", at_least(0))
+    noise_std: float = setting(2.0, "ippg.noise_std", at_least(0))
+    seed: int = setting(0, check=at_least(0))
+
+    def __post_init__(self):
+        check_fields(self, DataError)
+
+
+def synth_pulse_frames(*args, **kwargs) -> FrameSequence:
+    """Synthetic capture of ``PulseSpec(*args, **kwargs)``: a flat field
+    of level 128.0 carrying the two sinusoids plus the noise, quantized
+    to u8.
 
     Spatial averaging divides the noise power by height*width, so the
     mean-signal SNR in dB is
     10*log10((hr_amp**2 / 2) / (noise_std**2 / (height*width))).
     """
-    if seed < 0:
-        raise DataError("seed must be >= 0 (got %r)" % seed)
-    t = np.arange(int(round(fps * seconds))) / float(fps)
+    s = PulseSpec(*args, **kwargs)
+    t = np.arange(int(round(s.fps * s.seconds))) / float(s.fps)
     wave = (
-        base
-        + hr_amp * np.sin(2.0 * np.pi * hr_hz * t)
-        + rr_amp * np.sin(2.0 * np.pi * rr_hz * t)
+        128.0
+        + s.hr_amp * np.sin(2.0 * np.pi * s.hr_hz * t)
+        + s.rr_amp * np.sin(2.0 * np.pi * s.rr_hz * t)
     )
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x1B9)))
-    field = wave[:, None, None, None] + noise_std * rng.standard_normal(
-        (t.size, height, width, 3)
+    rng = np.random.default_rng(np.random.SeedSequence((s.seed, 0x1B9)))
+    field = wave[:, None, None, None] + s.noise_std * rng.standard_normal(
+        (t.size, s.height, s.width, 3)
     )
     pixels = np.clip(np.rint(field), 0, 255).astype(np.uint8)
-    return FrameSequence(pixels=pixels, fps=fps)
+    return FrameSequence(pixels=pixels, fps=s.fps)

@@ -267,6 +267,54 @@ def test_synth_keys_are_synthspec_fields():
             data.SynthSpec(**{field.name: SYNTH_BAD[key]})
 
 
+# ippg.* key -> a value outside its range
+PULSE_BAD = {
+    "ippg.fps": 0,
+    "ippg.duration_s": 0.0,
+    "ippg.height": 0,
+    "ippg.width": 0,
+    "ippg.hr_hz": -1.2,
+    "ippg.rr_hz": 0.0,
+    "ippg.hr_amp": -2.0,
+    "ippg.rr_amp": -1.0,
+    "ippg.noise_std": -0.5,
+}
+
+
+def test_pulse_keys_are_pulsespec_fields():
+    """Each ippg.* synthesis key has one default, kind and range rule:
+    the PulseSpec field's.  The config reports a bad value as
+    ConfigError, PulseSpec the same value as DataError."""
+    fields = {f.metadata["key"]: f for f in dataclasses.fields(ippg.PulseSpec)
+              if f.metadata.get("key")}
+    assert set(fields) == set(PULSE_BAD)
+    for key, field in fields.items():
+        spec = cfgmod.REGISTRY[key]
+        assert (spec.default, spec.kind) == (field.default, field.type)
+        assert type(spec.default) is type(field.default)
+        with pytest.raises(ConfigError, match=key):
+            default_config().with_overrides({key: PULSE_BAD[key]})
+        with pytest.raises(DataError, match=field.name):
+            ippg.PulseSpec(**{field.name: PULSE_BAD[key]})
+
+
+@pytest.mark.parametrize(
+    "make, error, name",
+    [
+        (lambda: data.SynthSpec(n_samples=10.0), DataError, "n_samples"),
+        (lambda: SwarmConfig(dimensions=3, population=4.0), ConfigError, "population"),
+        (lambda: SwarmConfig(dimensions=3, max_evaluations=True), ConfigError,
+         "max_evaluations"),
+    ],
+    ids=["synth-float-n_samples", "swarm-float-population", "swarm-bool-max_evaluations"],
+)
+def test_dataclass_rejects_wrong_kind(make, error, name):
+    """A library caller's wrong-kind value gets the package's error
+    naming the field, by the same kind rule as the config path."""
+    with pytest.raises(error, match=name):
+        make()
+
+
 def run_cli(args):
     return main(list(args))
 

@@ -526,6 +526,12 @@ class TestSynthPulse:
         with pytest.raises(DataError, match="seed"):
             synth_pulse_frames(25, 3.0, 2, 2, 1.2, 0.25, seed=-1)
 
+    @pytest.mark.parametrize("name", ["hr_hz", "rr_hz", "hr_amp", "noise_std"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(DataError, match=name):
+            synth_pulse_frames(25, 4.0, 2, 2, **{name: value})
+
 
 class TestBinaryContainer:
     def test_round_trip_exact(self, tmp_path):
