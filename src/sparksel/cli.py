@@ -12,10 +12,14 @@ compare      Avg / delta-Avg table across prior report files
 
 Every command reads one flat key=value config (all keys optional),
 honors --seeds/--out overrides, and writes a JSON report embedding the
-full effective config, so a report alone reproduces the run.  The swarm
-scores each batch of candidates in one objective call on the calling
-thread.  Files are written atomically (temp then rename).  Exit codes:
-0 success, 1 config error, 2 data error, 3 internal invariant violation.
+full effective config, so a report alone reproduces the run.  Reports
+are assembled in one place, the end of ``_dispatch``: a command returns
+its runs and aggregate (compare its table rows, after writing
+compare.txt), and ``_dispatch`` adds the header fields and the wall
+time, then writes ``<out>/<stem>.json``.  The swarm scores each batch
+of candidates in one objective call on the calling thread.  Files are
+written atomically (temp then rename).  Exit codes: 0 success, 1 config
+error, 2 data error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -103,66 +107,21 @@ def _dispatch(argv) -> None:
     seeds = cfg.get("seeds")
 
     started = time.perf_counter()
-    if args.command in ("select", "importance"):
-        label = "%s-%s" % (args.command, cfg.get("swarm.algorithm"))
-        runs = [_selection_run(cfg, s) for s in seeds]
-        aggregate = _selection_aggregate(runs)
-        if args.command == "importance":
-            aggregate.update(_importance_aggregate(runs))
-        doc = _envelope(args.command, None, label, cfg, seeds, runs, aggregate)
-        _emit(doc, out_dir, args.command, started)
-    elif args.command == "baseline":
-        label = "baseline-%s" % args.variant
-        if args.variant == "skb":
-            runs = [_skb_run(cfg, s) for s in seeds]
-        else:
-            runs = [_selection_run(cfg, s) for s in seeds]
-        aggregate = _selection_aggregate(runs)
-        doc = _envelope("baseline", args.variant, label, cfg, seeds, runs, aggregate)
-        _emit(doc, out_dir, "baseline_%s" % args.variant, started)
-    elif args.command == "bench":
-        runs, aggregate = _bench_runs(cfg, seeds)
-        label = "bench-%s" % cfg.get("bench.function")
-        doc = _envelope("bench", None, label, cfg, seeds, runs, aggregate)
-        _emit(doc, out_dir, "bench_%s" % cfg.get("bench.function"), started)
-    elif args.command == "synth":
-        runs, aggregate = _synth_runs(cfg, seeds, out_dir)
-        doc = _envelope("synth", None, "synth", cfg, seeds, runs, aggregate)
-        _emit(doc, out_dir, "synth", started)
-    elif args.command == "ippg":
-        runs, aggregate = _ippg_runs(cfg, seeds, out_dir)
-        doc = _envelope("ippg", None, "ippg", cfg, seeds, runs, aggregate)
-        _emit(doc, out_dir, "ippg", started)
-    elif args.command == "compare":
-        _compare(cfg, out_dir, started)
-    else:  # pragma: no cover - argparse enforces choices
-        raise ConfigError("unknown command %r" % args.command)
-
-
-# --- shared plumbing -------------------------------------------------------
-
-def _header(command, cfg):
-    """Fields every report starts with, compare.json included."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "sparksel",
-        "tool_version": __version__,
-        "command": command,
-        "config": cfg.echo(),
-    }
-
-
-def _envelope(command, variant, label, cfg, seeds, runs, aggregate):
-    return dict(_header(command, cfg), variant=variant, method_label=label,
-                seeds=list(seeds), runs=runs, aggregate=aggregate)
-
-
-def _emit(doc, out_dir, basename, started) -> None:
-    doc["wall_time_s"] = time.perf_counter() - started
-    path = os.path.join(out_dir, basename + ".json")
+    if args.command == "compare":
+        doc, stem = _compare(cfg, out_dir), "compare"
+    else:
+        runs, aggregate, label, stem = _COMMANDS[args.command](args, cfg, seeds, out_dir)
+        doc = dict(variant=getattr(args, "variant", None), method_label=label,
+                   seeds=list(seeds), runs=runs, aggregate=aggregate)
+    doc.update(schema_version=SCHEMA_VERSION, tool="sparksel", tool_version=__version__,
+               command=args.command, config=cfg.echo(),
+               wall_time_s=time.perf_counter() - started)
+    path = os.path.join(out_dir, stem + ".json")
     _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print("wrote %s" % path)
 
+
+# --- shared plumbing -------------------------------------------------------
 
 def _write_atomic(path, content) -> None:
     """Write ``content`` (UTF-8 text, or a function that writes the file it
@@ -260,16 +219,32 @@ def _selection_aggregate(runs) -> dict:
     return agg
 
 
-def _importance_aggregate(runs) -> dict:
+# Each command maps (args, cfg, seeds, out_dir) to (runs, aggregate,
+# method label, report file stem); _dispatch builds and writes the report.
+
+def _select(args, cfg: ExperimentConfig, seeds, out_dir):
+    runs = [_selection_run(cfg, s) for s in seeds]
+    label = "%s-%s" % (args.command, cfg.get("swarm.algorithm"))
+    return runs, _selection_aggregate(runs), label, args.command
+
+
+def _importance(args, cfg: ExperimentConfig, seeds, out_dir):
+    """select's runs plus the summed importance counts and their ranking."""
+    runs, aggregate, label, stem = _select(args, cfg, seeds, out_dir)
     total = np.sum([np.asarray(r["importance"]) for r in runs], axis=0)
-    ranking = np.lexsort((np.arange(total.size), -total))
-    return {
-        "importance_total": [int(c) for c in total],
-        "ranking": [int(i) for i in ranking],
-    }
+    aggregate["importance_total"] = [int(c) for c in total]
+    aggregate["ranking"] = [int(i) for i in np.lexsort((np.arange(total.size), -total))]
+    return runs, aggregate, label, stem
 
 
-def _bench_runs(cfg: ExperimentConfig, seeds):
+def _baseline(args, cfg: ExperimentConfig, seeds, out_dir):
+    run = _skb_run if args.variant == "skb" else _selection_run
+    runs = [run(cfg, s) for s in seeds]
+    label, stem = "baseline-" + args.variant, "baseline_" + args.variant
+    return runs, _selection_aggregate(runs), label, stem
+
+
+def _bench(args, cfg: ExperimentConfig, seeds, out_dir):
     function = cfg.get("bench.function")
     objective = swarm.BENCHMARKS[function]
     dimensions = cfg.get("bench.dimensions")
@@ -296,10 +271,10 @@ def _bench_runs(cfg: ExperimentConfig, seeds):
     for algo in algorithms:
         fits = [r["best_fitness"] for r in runs if r["algorithm"] == algo]
         aggregate["median_best_fitness.%s" % algo] = statistics.median(fits)
-    return runs, aggregate
+    return runs, aggregate, "bench-" + function, "bench_" + function
 
 
-def _synth_runs(cfg: ExperimentConfig, seeds, out_dir):
+def _synth(args, cfg: ExperimentConfig, seeds, out_dir):
     runs = []
     for seed in seeds:
         ds = _dataset_for_seed(cfg.with_overrides({"data.path": ""}), seed)
@@ -315,7 +290,7 @@ def _synth_runs(cfg: ExperimentConfig, seeds, out_dir):
                 "informative": list(ds.informative),
             }
         )
-    return runs, {"files": [r["path"] for r in runs]}
+    return runs, {"files": [r["path"] for r in runs]}, "synth", "synth"
 
 
 def _ippg_entry(fore, nose, seed, injected):
@@ -340,7 +315,7 @@ def _ippg_entry(fore, nose, seed, injected):
     return entry
 
 
-def _ippg_runs(cfg: ExperimentConfig, seeds, out_dir):
+def _ippg(args, cfg: ExperimentConfig, seeds, out_dir):
     fore_path = cfg.get("ippg.fore_path")
     nose_path = cfg.get("ippg.nose_path")
     if bool(fore_path) != bool(nose_path):
@@ -348,7 +323,7 @@ def _ippg_runs(cfg: ExperimentConfig, seeds, out_dir):
     if fore_path:
         fore = ippg.read_frames(fore_path)
         nose = ippg.read_frames(nose_path)
-        return [_ippg_entry(fore, nose, None, None)], {}
+        return [_ippg_entry(fore, nose, None, None)], {}, "ippg", "ippg"
 
     pulse = cfg.field_values(ippg.PulseSpec)
     injected = (pulse["hr_hz"], pulse["rr_hz"])
@@ -365,7 +340,11 @@ def _ippg_runs(cfg: ExperimentConfig, seeds, out_dir):
         "median_hr_error_hz": statistics.median(r["hr_error_hz"] for r in runs),
         "median_rr_error_hz": statistics.median(r["rr_error_hz"] for r in runs),
     }
-    return runs, aggregate
+    return runs, aggregate, "ippg", "ippg"
+
+
+_COMMANDS = {"select": _select, "importance": _importance, "baseline": _baseline,
+             "bench": _bench, "synth": _synth, "ippg": _ippg}
 
 
 # --- compare ---------------------------------------------------------------
@@ -380,7 +359,8 @@ def _protocol_slice(report):
     return keys
 
 
-def _compare(cfg: ExperimentConfig, out_dir, started) -> None:
+def _compare(cfg: ExperimentConfig, out_dir) -> dict:
+    """Write and print the Avg table; return the compare.json body."""
     ref_path = cfg.get("compare.reference")
     if not ref_path:
         raise ConfigError("compare.reference: must name a report file")
@@ -427,37 +407,26 @@ def _compare(cfg: ExperimentConfig, out_dir, started) -> None:
             delta = None
         else:
             delta = avg_pct - ref_avg
-        rows.append(
-            {
-                "method": report.get("method_label", report.get("command", "?")),
-                "avg_pct": avg_pct,
-                "delta_avg_pct": delta,
-            }
-        )
+        method = report.get("method_label", report.get("command", "?"))
+        if not isinstance(method, str):
+            raise DataError("report %s: method_label must be a string, got %r"
+                            % (path, method))
+        rows.append({"method": method, "avg_pct": avg_pct, "delta_avg_pct": delta})
 
     table = _render_table(rows)
     _write_atomic(os.path.join(out_dir, "compare.txt"), table)
     print(table, end="")
-    _emit(dict(_header("compare", cfg), rows=rows), out_dir, "compare", started)
+    return {"rows": rows}
 
 
 def _render_table(rows) -> str:
-    header = ("Method", "Avg(%)", "dAvg(%)")
-    body = []
+    lines = [("Method", "Avg(%)", "dAvg(%)")]
     for row in rows:
         delta = "---" if row["delta_avg_pct"] is None else "%+.2f" % row["delta_avg_pct"]
-        body.append((row["method"], "%.2f" % row["avg_pct"], delta))
-    widths = [
-        max(len(header[i]), *(len(line[i]) for line in body)) for i in range(3)
-    ]
-    lines = [
-        "%-*s  %*s  %*s" % (widths[0], header[0], widths[1], header[1], widths[2], header[2])
-    ]
-    for line in body:
-        lines.append(
-            "%-*s  %*s  %*s" % (widths[0], line[0], widths[1], line[1], widths[2], line[2])
-        )
-    return "\n".join(lines) + "\n"
+        lines.append((row["method"], "%.2f" % row["avg_pct"], delta))
+    widths = [max(len(line[i]) for line in lines) for i in range(3)]
+    return "".join("%-*s  %*s  %*s\n" % (widths[0], method, widths[1], avg, widths[2], delta)
+                   for method, avg, delta in lines)
 
 
 if __name__ == "__main__":

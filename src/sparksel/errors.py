@@ -14,8 +14,8 @@ fields (``data.SynthSpec``, ``ippg.PulseSpec``,
 its kind, a float must be finite, then it must pass its range check.
 """
 
-import math
 import numbers
+import sys
 from dataclasses import MISSING, field, fields
 
 
@@ -76,7 +76,8 @@ def check_value(kind: str, check, value):
         isinstance(v, _KINDS[base]) and isinstance(v, bool) == (base == "bool") for v in items
     ):
         return "wrong type, want %s" % kind
-    if kind == "float" and not math.isfinite(value):
+    # the exact comparison also rejects NaN and ints past a float's range
+    if kind == "float" and not abs(value) <= sys.float_info.max:
         return "must be finite"
     return check(value) if check is not None else None
 

@@ -3,6 +3,7 @@ line-accurate errors, round-trip identity, report shape, exit codes,
 and the compare table."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -149,6 +150,8 @@ class TestConfigParsing:
         ("ippg.duration_s", float("nan")),
         ("pso.inertia", float("-inf")),
         ("synth.noise_sigma", float("inf")),
+        pytest.param("ippg.duration_s", 10**400, id="ippg.duration_s-huge_int"),
+        pytest.param("swarm.r_max", 10**400, id="swarm.r_max-huge_int"),
     ])
     def test_non_finite_float_override_rejected(self, key, value):
         with pytest.raises(ConfigError, match="finite") as err:
@@ -167,6 +170,7 @@ class TestConfigParsing:
         (SwarmConfig, "pso_inertia", float("nan")),
         (SwarmConfig, "ba_freq_max", float("inf")),
         (SelectionConfig, "test_fraction", float("nan")),
+        pytest.param(SwarmConfig, "r_max", 10**400, id="SwarmConfig-r_max-huge_int"),
     ])
     def test_non_finite_dataclass_field_rejected(self, cls, name, value):
         with pytest.raises(ConfigError, match="finite") as err:
@@ -668,8 +672,12 @@ class TestCompare:
         '{"aggregate": {"median_avg": 1%s}}' % ("0" * 400),
         '{"aggregate": {"median_avg": 1.5}}',
         '{"aggregate": {"median_avg": 1%s}}' % ("0" * 5000),
+        '{"method_label": 5, "aggregate": {"median_avg": 0.7}}',
+        '{"method_label": null, "aggregate": {"median_avg": 0.7}}',
+        '{"command": ["select"], "aggregate": {"median_avg": 0.7}}',
     ], ids=["list", "config_list", "aggregate_list", "avg_string", "avg_nan", "avg_inf",
-            "avg_bool", "avg_huge_int", "avg_above_one", "avg_over_digit_limit"])
+            "avg_bool", "avg_huge_int", "avg_above_one", "avg_over_digit_limit",
+            "label_int", "label_null", "command_list"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         good = tmp_path / "good.json"
         good.write_text('{"aggregate": {"median_avg": 0.7}}')
@@ -690,3 +698,126 @@ class TestCompare:
         cfg = write_config(tmp_path, "compare.reference = missing.json\n",
                            name="cmp.cfg")
         assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+FROZEN_CONFIG = QUICK.replace("seeds = 0", "seeds = 0,1") + (
+    "split.holdout_fraction = 0.25\n"
+    "bench.algorithms = ifa,fa,pso,ba\n"
+    "ippg.emit_frames = true\n"
+    "ippg.duration_s = 8\n"
+    "ippg.height = 4\n"
+    "ippg.width = 4\n"
+)
+
+# (command line, files it writes), run in this order into one directory
+FROZEN_RUNS = [
+    (["select"], ["select.json"]),
+    (["importance"], ["importance.json"]),
+    (["baseline", "fa"], ["baseline_fa.json"]),
+    (["baseline", "pso"], ["baseline_pso.json"]),
+    (["baseline", "ba"], ["baseline_ba.json"]),
+    (["baseline", "skb"], ["baseline_skb.json"]),
+    (["bench", "sphere"], ["bench_sphere.json"]),
+    (["bench", "rastrigin"], ["bench_rastrigin.json"]),
+    (["bench"], ["bench_sphere.json"]),
+    (["synth"], ["synth.json", "synth_0.csv", "synth_1.csv"]),
+    (["ippg"], ["ippg.json", "frames_fore_0.ippg", "frames_nose_0.ippg",
+                "frames_fore_1.ippg", "frames_nose_1.ippg"]),
+    (["compare"], ["compare.json", "compare.txt"]),
+]
+
+COMPARED = ["select.json", "importance.json", "baseline_fa.json", "baseline_pso.json",
+            "baseline_ba.json", "baseline_skb.json"]
+
+FROZEN_DIGESTS = {
+    "select stdout":
+        "fe60289b06a8dab85078f3ef129b52f9dc031f68b5b108e10201e0f319950771",
+    "select select.json":
+        "6d0d84bbcbb0ab6762c310df858924060467368ccd8e634580c566d19c5747e1",
+    "importance stdout":
+        "0a5a02937ee2e963224f0da35a255af00efe4cf8246b9621b3b5cccd8cbe44d2",
+    "importance importance.json":
+        "7f6cf8ccade6f76d0702820885c4f17a08b7a57b2715e0f53a1e9e245b8441ba",
+    "baseline fa stdout":
+        "35844e4d51576addad46891a28bead8a026a12ac7ee792cd5aa49179c3f4ce85",
+    "baseline fa baseline_fa.json":
+        "02b1e71a507a4b748cfd8d96a55843077af3dc9039d5fd161d6989d787191a5c",
+    "baseline pso stdout":
+        "f96aef30027a95048a9617ff5e2b93d9cd743294e340db765d298f4d030399ca",
+    "baseline pso baseline_pso.json":
+        "b8964f27b98fb89464e7ec5d600a4a13e1526a100c26a1cfd427867db19c6ddd",
+    "baseline ba stdout":
+        "dbdc988f4b7c12c762e7848d500121608c9d079139dfe1a9277909f9e090107b",
+    "baseline ba baseline_ba.json":
+        "cfdf13f1357a1f80bdd1f53c77ba4fcf34789e9664698a0682236b037ee500aa",
+    "baseline skb stdout":
+        "bc9567d94ad58121bffbe3a86f58a27c893a6a6afa5f3c3c4d86514c7700dcb0",
+    "baseline skb baseline_skb.json":
+        "d7316a6357dc96f88690289c20cd1d265d1686f023d4896961ae006cbb6847a8",
+    "bench sphere stdout":
+        "5b208d9ea0af3cfb6bb977970249f2b780eb53a9fcdbac438e5478c8d6b756d8",
+    "bench sphere bench_sphere.json":
+        "726698a0c4e51954760eeb7c9ef6fdd5f6b33d972d91c36d430df476edc3fd25",
+    "bench rastrigin stdout":
+        "8507208dedc2edb7760c7118f2a7753eea6ee001c61a8903de69a2eb406694cd",
+    "bench rastrigin bench_rastrigin.json":
+        "9e48586eb0b3bf14b83203dd71cc8394352ea991b067a8e4e8ce097bb1d08952",
+    "bench stdout":
+        "5b208d9ea0af3cfb6bb977970249f2b780eb53a9fcdbac438e5478c8d6b756d8",
+    "bench bench_sphere.json":
+        "726698a0c4e51954760eeb7c9ef6fdd5f6b33d972d91c36d430df476edc3fd25",
+    "synth stdout":
+        "07c4f2338b08309c73166b526ea74993db56878875745f9dc678e89ec7772333",
+    "synth synth.json":
+        "3439e9dfd7c4b5b7d215e7b4f2fefdff1cca00a0164fa95b97e1dc8cd3ef5c2a",
+    "synth synth_0.csv":
+        "68f6b933de658ed5450d4f826ce4aeb125c67e8c1c84d84edfa741bcfa6eedf4",
+    "synth synth_1.csv":
+        "6bae7c196fcb3f1544056664ae24234d0cb9681819626f7074441a6a737dd5be",
+    "ippg stdout":
+        "061200c8b7ed8b20b1fcb6b1d3e7e7234d142faaf520e64a258410a80e2f10c3",
+    "ippg ippg.json":
+        "37d1b41c995ea717ffc68654c26c29aa511b67a447c8288cfcb4ae21478a4039",
+    "ippg frames_fore_0.ippg":
+        "a4522a6a4338b57101bdcb62c6c4cfc610bae2bf835c153aab80576effcaadcc",
+    "ippg frames_nose_0.ippg":
+        "293977036a5d47e65b20ecb66921016f2ab36ca1a837dce5fb348b7472eddd83",
+    "ippg frames_fore_1.ippg":
+        "f43c43ff833ec9d3debfb8ba40a5ee7b971430519bac803cdbdad95fc7c7734d",
+    "ippg frames_nose_1.ippg":
+        "fad37e6cf70eb6017bb73ba1b75471bb63c8977f7a84a191b7e7c53083c7c04f",
+    "compare stdout":
+        "c8745d30629f42ac8bec287fcd09bd55d921edcd0443a186a84ba35a4cfc1eb1",
+    "compare compare.json":
+        "8079c613326767420960bdb7873a72eb6db14886c2916b4b1fd851b6b797119e",
+    "compare compare.txt":
+        "3c2ad6471072bbbdee0f1038f89c5599809edef2ada728c52db66891a445420f",
+}
+
+
+def test_every_report_is_frozen(tmp_path, capsys):
+    """Every command's report, data file and stdout on one config, pinned
+    by sha256 once the wall times and the temp directory are masked: a
+    change to how the CLI assembles or writes its output must leave
+    every byte of it as it was."""
+    import hashlib
+
+    out = tmp_path / "out"
+    base = FROZEN_CONFIG + "compare.reference = %s\ncompare.others = %s\n" % (
+        out / COMPARED[0], ",".join(str(out / name) for name in COMPARED[1:]))
+    cfg = write_config(tmp_path, base)
+
+    def masked(data):
+        text = data.decode("utf-8").replace(str(tmp_path), "<tmp>")
+        return re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": _', text).encode()
+
+    digests = {}
+    for argv, names in FROZEN_RUNS:
+        assert run_cli(argv + ["--config", cfg, "--out", str(out)]) == 0
+        step = " ".join(argv)
+        digests[step + " stdout"] = masked(capsys.readouterr().out.encode())
+        for name in names:
+            data = (out / name).read_bytes()
+            digests["%s %s" % (step, name)] = data if name.endswith(".ippg") else masked(data)
+    digests = {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()}
+    assert digests == FROZEN_DIGESTS

@@ -527,7 +527,8 @@ class TestSynthPulse:
             synth_pulse_frames(25, 3.0, 2, 2, 1.2, 0.25, seed=-1)
 
     @pytest.mark.parametrize("name", ["hr_hz", "rr_hz", "hr_amp", "noise_std"])
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400],
+                             ids=["inf", "nan", "huge_int"])
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(DataError, match=name):
             synth_pulse_frames(25, 4.0, 2, 2, **{name: value})
