@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .data import SynthSpec
-from .errors import ConfigError, at_least, check_value, choice
+from .errors import ConfigError, at_least, between, check_value, choice
 from .ippg import PulseSpec
 from .selection import SelectionConfig
 from .swarm import ALGORITHMS, BENCHMARKS, SwarmConfig
@@ -68,7 +68,7 @@ REGISTRY = {
     "data.path": KeySpec("str", ""),
     **_field_specs(SynthSpec, SelectionConfig, SwarmConfig),
     "bench.function": KeySpec("str", "sphere", choice(*BENCHMARKS)),
-    "bench.dimensions": KeySpec("int", 10, at_least(1)),
+    "bench.dimensions": KeySpec("int", 10, between(1, 10**4)),
     "bench.algorithms": KeySpec("str_list", ["ifa", "fa"], _algorithm_list),
     "skb.k": KeySpec("int", 0, at_least(0)),  # 0 means the lambda floor
     **_field_specs(PulseSpec),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, at_least, check_fields, fraction, setting
+from .errors import DataError, at_least, between, check_fields, fraction, setting
 
 LABEL_COLUMN = "label"
 
@@ -181,9 +181,9 @@ class SynthSpec:
     normal and independent of the label.  A bad value raises DataError.
     """
 
-    n_samples: int = setting(200, "synth.n_samples", at_least(4))
-    d_informative: int = setting(5, "synth.d_informative", at_least(1))
-    d_noise: int = setting(20, "synth.d_noise", at_least(0))
+    n_samples: int = setting(200, "synth.n_samples", between(4, 10**6))
+    d_informative: int = setting(5, "synth.d_informative", between(1, 10**4))
+    d_noise: int = setting(20, "synth.d_noise", between(0, 10**4))
     class_imbalance: float = setting(0.17, "synth.class_imbalance", fraction(0, 1))
     noise_sigma: float = setting(1.0, "synth.noise_sigma", at_least(0))
     seed: int = setting(0, check=at_least(0))

@@ -48,6 +48,10 @@ def at_least(n):
     return lambda v: None if v >= n else "must be >= %s" % n
 
 
+def between(lo, hi):
+    return lambda v: None if lo <= v <= hi else "must lie in [%s, %s]" % (lo, hi)
+
+
 def positive(v):
     return None if v > 0 else "must be > 0"
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, sosfilt, sosfilt_zi
 
-from .errors import DataError, at_least, check_fields, positive, setting
+from .errors import DataError, at_least, between, check_fields, fraction, positive, setting
 
 MAGIC = b"IPPG"
 _HEADER = struct.Struct("<4sIHHBB2x")
@@ -361,10 +361,10 @@ class PulseSpec:
     sinusoid (frequency in Hz, amplitude in pixel levels) and per-pixel
     Gaussian noise.  A bad value raises DataError."""
 
-    fps: int = setting(25, "ippg.fps", at_least(1))
-    seconds: float = setting(30.0, "ippg.duration_s", positive)
-    height: int = setting(8, "ippg.height", at_least(1))
-    width: int = setting(8, "ippg.width", at_least(1))
+    fps: int = setting(25, "ippg.fps", between(1, 1000))
+    seconds: float = setting(30.0, "ippg.duration_s", fraction(0, 10**5, hi_open=False))
+    height: int = setting(8, "ippg.height", between(1, 10**4))
+    width: int = setting(8, "ippg.width", between(1, 10**4))
     hr_hz: float = setting(1.2, "ippg.hr_hz", positive)
     rr_hz: float = setting(0.25, "ippg.rr_hz", positive)
     hr_amp: float = setting(2.0, "ippg.hr_amp", at_least(0))

@@ -117,13 +117,6 @@ def repair(mask, lam: int, rng) -> np.ndarray:
     return mask
 
 
-def _mask_rng(seed: int, mask) -> np.random.Generator:
-    # keyed by mask content so repair is a pure function of the position
-    bits = int.from_bytes(np.packbits(np.asarray(mask, dtype=np.uint8)).tobytes(), "little")
-    ss = np.random.SeedSequence((int(seed), 0x5EED, bits))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def fit_mask(mask, split: SplitPair, cfg: SelectionConfig, holdout: Dataset | None = None):
     """Train on the masked train columns and score the test side and
     the ``holdout``: (loss, test metrics, holdout metrics)."""
@@ -182,11 +175,17 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
     tracker = ImportanceTracker.for_dimensions(ds.d)
     min_popcount = ds.d + 1
     losses = {}  # packed repaired-mask bits -> loss, for this run only
+    # its own source: the objective runs while the swarm holds a stream
+    mask_streams = swarm.Streams(cfg.swarm.seed)
+
+    def repaired(raw):
+        # keyed by mask content so repair is a pure function of the position
+        bits = int.from_bytes(np.packbits(raw.astype(np.uint8)).tobytes(), "little")
+        return repair(raw, lam, mask_streams(0x5EED, bits))
 
     def mask_loss(x):
         nonlocal min_popcount
-        raw = discretize(x)
-        mask = repair(raw, lam, _mask_rng(cfg.swarm.seed, raw))
+        mask = repaired(discretize(x))
         pop = int(mask.sum())
         if pop < lam:
             raise InvariantError("repaired mask popcount %d < lambda %d" % (pop, lam))
@@ -207,8 +206,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
             % (tracker.evaluations, opt.evaluations_used)
         )
 
-    best_raw = discretize(opt.best_x)
-    best_mask = repair(best_raw, lam, _mask_rng(cfg.swarm.seed, best_raw))
+    best_mask = repaired(discretize(opt.best_x))
     loss, mset, holdout_metrics = fit_mask(best_mask, split, cfg, holdout)
     return SelectionResult(
         algorithm=cfg.swarm.algorithm,

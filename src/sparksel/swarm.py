@@ -14,7 +14,9 @@ Determinism: every random draw comes from a counter-based Philox
 stream keyed by (seed, generation, role).  A fireworks generation draws
 its explosion sparks from role 1, its Gaussian-mutation sparks from
 role 2 and its survivors from role 3, each as whole arrays; PSO and BA
-draw a generation from role 0.
+draw a generation from role 0.  A run holds one Generator (a
+``Streams`` source) and re-keys it in place for each (seed, generation,
+role); the streams are the ones a fresh Generator per key would draw.
 
 Objectives take rows at once: each batch of candidates (the initial
 population, a fireworks generation's sparks, a PSO or BA generation)
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError, InvariantError, at_least, check_fields, choice, fraction, positive, setting,
+    ConfigError, InvariantError, at_least, between, check_fields, choice, fraction, positive,
+    setting,
 )
 
 ALGORITHMS = ("ifa", "fa", "pso", "ba")
@@ -53,12 +56,12 @@ class SwarmConfig:
 
     dimensions: int = setting(check=at_least(1))
     algorithm: str = setting("ifa", "swarm.algorithm", choice(*ALGORITHMS))
-    population: int = setting(10, "swarm.population", at_least(2))
-    s_max: int = setting(20, "swarm.s_max", at_least(1))
+    population: int = setting(10, "swarm.population", between(2, 10**4))
+    s_max: int = setting(20, "swarm.s_max", between(1, 10**4))
     s_min: int = setting(1, "swarm.s_min", at_least(1))
     r_max: float = setting(0.4, "swarm.r_max", fraction(0, 1, hi_open=False))
     epsilon: float = setting(1e-12, "swarm.epsilon", positive)
-    gaussian_sparks: int = setting(5, "swarm.gaussian_sparks", at_least(0))
+    gaussian_sparks: int = setting(5, "swarm.gaussian_sparks", between(0, 10**4))
     max_evaluations: int = setting(2000, "swarm.max_evaluations", at_least(1))
     seed: int = setting(0, check=at_least(0))
     pso_inertia: float = setting(0.729, "pso.inertia")
@@ -90,10 +93,58 @@ class OptResult:
     fitness_trace: np.ndarray
 
 
+def _words(n) -> list:
+    """Little-endian uint32 words of a non-negative int, as SeedSequence
+    reads an int entropy entry (0 is one word)."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("stream keys must be non-negative, got %d" % n)
+    out = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        out.append(n & 0xFFFFFFFF)
+    return out
+
+
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+class Streams:
+    """A source of counter-based Philox streams keyed by (seed, *path),
+    all drawn from one Generator.
+
+    Calling the source with a path installs the Philox key that
+    ``SeedSequence((seed, *path))`` gives, with the counter and buffer
+    at zero, so the stream draws exactly what a Generator built from
+    that SeedSequence draws.  Every call returns the same Generator: a
+    stream stays valid only until the next call on the same source,
+    which re-keys it.  Code that may run while another holds a stream
+    (an objective inside a swarm generation, say) keeps its own source.
+    """
+
+    def __init__(self, seed: int):
+        self._seed_words = _words(seed)
+        self._bits = np.random.Philox(0)
+        self._rng = np.random.Generator(self._bits)
+        self._key = {"counter": _ZEROS, "key": None}
+        self._state = {"bit_generator": "Philox", "state": self._key, "buffer": _ZEROS,
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def __call__(self, *path: int) -> np.random.Generator:
+        words = self._seed_words.copy()
+        for p in path:
+            words += _words(p)
+        ss = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        # the two little-endian uint64 key words, as generate_state(2, np.uint64)
+        # builds them from four uint32 words
+        self._key["key"] = ss.generate_state(4, np.uint32).view("<u8")
+        self._bits.state = self._state
+        return self._rng
+
+
 def child_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent counter-based stream for one (generation, role) slot."""
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    """A Generator of its own for one (seed, *path) stream."""
+    return Streams(seed)(*path)
 
 
 # --- benchmark objectives ------------------------------------------------
@@ -301,12 +352,13 @@ def optimize(objective, cfg: SwarmConfig) -> OptResult:
         per-generation best-so-far trace.
     """
     budget = _Budget(objective, cfg.max_evaluations)
-    X = child_rng(cfg.seed, 0, 0).uniform(size=(cfg.population, cfg.dimensions))
+    stream = Streams(cfg.seed)
+    X = stream(0, 0).uniform(size=(cfg.population, cfg.dimensions))
     f = budget.eval_batch(X)
     trace = [budget.best_f]
     # eval_batch shortens a batch only when it spends the budget, so a
     # population cut short by the budget never reaches a generation
-    generations = _RUNNERS[cfg.algorithm](cfg, budget, X, f)
+    generations = _RUNNERS[cfg.algorithm](cfg, stream, budget, X, f)
     while budget.remaining > 0:
         next(generations)
         trace.append(budget.best_f)
@@ -318,7 +370,7 @@ def optimize(objective, cfg: SwarmConfig) -> OptResult:
     )
 
 
-def _fireworks(cfg, budget, X, f):
+def _fireworks(cfg, stream, budget, X, f):
     n = cfg.population
     pbest_f = f
     for gen in itertools.count(1):
@@ -333,29 +385,29 @@ def _fireworks(cfg, budget, X, f):
         owner = np.repeat(np.arange(n), counts)
         near = around_best[owner]
         far = owner[~near]
-        rng = child_rng(cfg.seed, gen, 1)
+        rng = stream(gen, 1)
         sparks = np.empty((owner.size, cfg.dimensions))
         sparks[~near] = explode(X[far], radii[far], far.size, rng)
         sparks[near] = explode_around_best(X[int(np.argmin(f))], owner.size - far.size, rng)
-        rng = child_rng(cfg.seed, gen, 2)
+        rng = stream(gen, 2)
         donors = rng.integers(n, size=cfg.gaussian_sparks)
         sparks = np.vstack([sparks, gaussian_mutate(X[donors], rng)])
 
         f_sparks = budget.eval_batch(sparks)
         pool_x = np.vstack([X, sparks[: f_sparks.size]])
         pool_f = np.concatenate([f, f_sparks])
-        sel = select_next(pool_f, n, child_rng(cfg.seed, gen, 3))
+        sel = select_next(pool_f, n, stream(gen, 3))
         X, f = pool_x[sel], pool_f[sel]
         yield
 
 
-def _pso(cfg, budget, X, f):
+def _pso(cfg, stream, budget, X, f):
     n, d = cfg.population, cfg.dimensions
     V = np.zeros((n, d))
     pb_x, pb_f = X.copy(), f.copy()
     for gen in itertools.count(1):
         gb_x = pb_x[np.argmin(pb_f)]
-        rng = child_rng(cfg.seed, gen, 0)
+        rng = stream(gen, 0)
         r1 = rng.uniform(size=(n, d))
         r2 = rng.uniform(size=(n, d))
         V = (
@@ -371,13 +423,13 @@ def _pso(cfg, budget, X, f):
         yield
 
 
-def _bat(cfg, budget, X, f):
+def _bat(cfg, stream, budget, X, f):
     n, d = cfg.population, cfg.dimensions
     V = np.zeros((n, d))
     loud = np.full(n, cfg.ba_loudness)
     for gen in itertools.count(1):
         gb_x = X[np.argmin(f)]
-        rng = child_rng(cfg.seed, gen, 0)
+        rng = stream(gen, 0)
         beta = rng.uniform(size=n)
         freq = cfg.ba_freq_min + (cfg.ba_freq_max - cfg.ba_freq_min) * beta
         V = V + (X - gb_x) * freq[:, None]

@@ -431,6 +431,23 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "ippg.json").exists()
 
+    @pytest.mark.parametrize("key, command", [
+        ("swarm.population", "select"), ("swarm.s_max", "select"),
+        ("swarm.gaussian_sparks", "select"), ("bench.dimensions", "bench"),
+        ("synth.n_samples", "synth"), ("synth.d_informative", "synth"),
+        ("synth.d_noise", "synth"), ("ippg.fps", "ippg"), ("ippg.duration_s", "ippg"),
+        ("ippg.height", "ippg"), ("ippg.width", "ippg"),
+    ])
+    def test_oversized_setting_exits_one(self, tmp_path, capsys, key, command):
+        # the upper bound is checked with the config, before any array is sized
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            default_config().with_overrides({key: 10**30})
+        cfg = write_config(tmp_path, "%s = %d\n" % (key, 10**30))
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_usage_error_maps_to_config_error(self, capsys):
         assert run_cli(["no-such-command"]) == 1
         assert run_cli([]) == 1

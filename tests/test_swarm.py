@@ -277,6 +277,24 @@ class TestChildRng:
             seen[len(slot)].add(got.tobytes())
         assert len(seen[1]) == 3 and len(seen[2]) == 10
 
+    def test_one_source_rekeys_through_many_paths(self):
+        # each call re-keys the source's one Generator; the stream before
+        # it is left part-way through a 64-bit word (three bits, a float32)
+        big = (0, 2**32 - 1, 2**32, 2**64 + 5)
+        paths = [(a, b) for a in big for b in big] + [(7,), (1, 2, 3), (2**32, 0, 9), ()]
+        for seed in big:
+            source = swarm.Streams(seed)
+            for path in paths:
+                want = np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence((seed, *path))))
+                got = source(*path)
+                a, b = (np.concatenate([r.integers(0, 1000, size=4), r.random(3),
+                                        r.standard_normal(3), r.permutation(6)])
+                        for r in (got, want))
+                assert np.array_equal(a, b)
+                got.integers(0, 2, size=3)
+                got.random(dtype=np.float32)
+
     def test_fireworks_runs_are_frozen(self):
         # recorded with three streams per generation (report schema 2)
         want = {"ifa": ("0x1.d8600d0ecb800p-4", 24, "0x1.f77de265111b4p-6"),
@@ -297,12 +315,13 @@ class TestFireworksStreams:
         Gaussian-mutation sparks and (seed, gen, 3) survivors, never a
         stream per spark; two same-seed runs agree bit for bit."""
         paths = []
+        keyed = swarm.Streams.__call__
 
-        def counting(seed, *path):
+        def counting(source, *path):
             paths.append(path)
-            return child_rng(seed, *path)
+            return keyed(source, *path)
 
-        monkeypatch.setattr(swarm, "child_rng", counting)
+        monkeypatch.setattr(swarm.Streams, "__call__", counting)
         c = cfg(dimensions=6, max_evaluations=900, seed=5, algorithm=algo)
         a = optimize(rastrigin, c)
         generations = len(a.fitness_trace) - 1
