@@ -10,7 +10,7 @@ keep summing to one.  The history dict exposes all of it.
 
 import numpy as np
 
-from sparksel.boosting import AdaBoostModel, train
+from sparksel.boosting import train
 from sparksel.data import SynthSpec, generate_synthetic, stratified_split
 from sparksel.metrics import score_set
 
@@ -53,9 +53,5 @@ print("  auc %.4f  acc %.4f  pre %.4f" % (m.auc, m.acc, m.pre))
 print("  sen %.4f  f1  %.4f  spe %.4f" % (m.sen, m.f1, m.spe))
 print("  average of the six: %.4f" % m.avg())
 
-# models serialize to plain JSON and come back bit-identical
-clone = AdaBoostModel.from_json(model.to_json())
-same = np.array_equal(clone.predict(te.features), model.predict(te.features))
-print("\nJSON round trip reproduces predictions:", same)
-print("stumps kept: %d, first split: feature %d at %.4f"
+print("\nstumps kept: %d, first split: feature %d at %.4f"
       % (model.rounds, model.stumps[0].feature_index, model.stumps[0].threshold))

@@ -15,7 +15,6 @@ above.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -68,49 +67,6 @@ class AdaBoostModel:
     def predict(self, X):
         """Hard 0/1 labels; a zero margin maps to class 1."""
         return hard_labels(self.margins(X))
-
-    def to_json(self) -> str:
-        recs = [
-            {
-                "feature_index": s.feature_index,
-                "threshold": s.threshold,
-                "polarity": s.polarity,
-                "alpha": s.alpha,
-            }
-            for s in self.stumps
-        ]
-        return json.dumps({"stumps": recs}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdaBoostModel":
-        """Parse ``to_json`` output; DataError for any malformed record."""
-
-        def field(r, key, types):
-            # exact types: JSON true/false are bools, which int would pass
-            if type(r[key]) not in types:
-                raise TypeError("%s is %r" % (key, r[key]))
-            return r[key]
-
-        try:  # a json.JSONDecodeError is a ValueError
-            stumps = tuple(
-                Stump(
-                    feature_index=field(r, "feature_index", (int,)),
-                    threshold=float(field(r, "threshold", (int, float))),
-                    polarity=field(r, "polarity", (int,)),
-                    alpha=float(field(r, "alpha", (int, float))),
-                )
-                for r in json.loads(text)["stumps"]
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError("bad model record (%s: %s)" % (type(exc).__name__, exc)) from None
-        for i, s in enumerate(stumps):
-            if s.feature_index < 0:
-                raise DataError("stump %d: feature_index must be >= 0" % i)
-            if s.polarity not in (-1, 1):
-                raise DataError("stump %d: polarity must be -1 or +1" % i)
-            if not (math.isfinite(s.threshold) and math.isfinite(s.alpha)):
-                raise DataError("stump %d: threshold and alpha must be finite" % i)
-        return cls(stumps=stumps)
 
 
 def hard_labels(margins):

@@ -17,8 +17,9 @@ are assembled in one place, the end of ``_dispatch``: a command returns
 its runs and aggregate (compare its table rows, after writing
 compare.txt), and ``_dispatch`` adds the header fields and the wall
 time, then writes ``<out>/<stem>.json``.  The swarm scores each batch
-of candidates in one objective call on the calling thread.  Files are
-written atomically (temp then rename).  Exit codes: 0 success, 1 config
+of candidates in one objective call on the calling thread.  The output
+directory is created before the command runs, and every file lands in
+it atomically (temp then rename).  Exit codes: 0 success, 1 config
 error, 2 data error, 3 internal invariant violation.
 """
 
@@ -104,6 +105,10 @@ def _dispatch(argv) -> None:
     cfg = cfg.with_overrides(overrides)
 
     out_dir = cfg.get("out_dir") or os.environ.get(ENV_OUT_DIR, "") or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError("out_dir: cannot create %s: %s" % (out_dir, exc)) from None
     seeds = cfg.get("seeds")
 
     started = time.perf_counter()
@@ -125,8 +130,8 @@ def _dispatch(argv) -> None:
 
 def _write_atomic(path, content) -> None:
     """Write ``content`` (UTF-8 text, or a function that writes the file it
-    is given) to a temp file beside ``path``, then rename it over ``path``."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    is given) to a temp file beside ``path``, then rename it over ``path``;
+    ``path`` lies in the output directory ``_dispatch`` created."""
     tmp = path + ".tmp"
     if isinstance(content, str):
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -168,11 +173,18 @@ def _recall(mask, informative):
 
 def _run_record(res: selection.SelectionResult, ds, sel_cfg, seed: int, t0: float) -> dict:
     """Report record of one selection run; ``t0`` is its start time."""
-    entry = selection.result_dict(
-        res, dataclasses.asdict(sel_cfg), time.perf_counter() - t0
-    )
-    entry["seed"] = seed
-    entry["min_popcount"] = res.min_popcount
+    entry = {
+        "algorithm": res.algorithm,
+        "config": dataclasses.asdict(sel_cfg),
+        "seed": seed,
+        "best_mask": [int(b) for b in res.best_mask],
+        "metrics": res.best_metrics.to_dict(),
+        "loss": res.loss,
+        "importance": [int(c) for c in res.importance],
+        "evaluations": int(res.evaluations),
+        "min_popcount": res.min_popcount,
+        "wall_time_s": time.perf_counter() - t0,
+    }
     recall = _recall(res.best_mask, ds.informative)
     if recall is not None:
         entry["informative_recall"] = recall

@@ -4,11 +4,10 @@ One assignment per line; full-line comments start with ``#``; blank
 lines are ignored.  Values are typed per key (int, float, bool,
 string, or comma-separated lists), unknown and duplicate keys are
 rejected, and every parse returns the complete effective map with
-defaults filled, so parse -> serialize -> parse is the identity.  Keys
-that set a dataclass field (``data.SynthSpec``, ``ippg.PulseSpec``,
-``selection.SelectionConfig``, ``swarm.SwarmConfig``) are declared by
-that field; every value passes ``errors.check_value``, the one kind,
-finiteness and range rule.
+defaults filled.  Keys that set a dataclass field (``data.SynthSpec``,
+``ippg.PulseSpec``, ``selection.SelectionConfig``,
+``swarm.SwarmConfig``) are declared by that field; every value passes
+``errors.check_value``, the one kind, finiteness and range rule.
 """
 
 from __future__ import annotations
@@ -156,48 +155,29 @@ def parse_config(path) -> ExperimentConfig:
     values = {k: s.default for k, s in REGISTRY.items()}
     seen = set()
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    "%s line %d: expected 'key = value', got %r" % (path, lineno, stripped)
-                )
-            key, _, rest = stripped.partition("=")
-            key = key.strip()
-            rest = rest.strip()
-            if not _KEY_RE.match(key):
-                raise ConfigError("%s line %d: malformed key %r" % (path, lineno, key))
-            if key not in REGISTRY:
-                raise ConfigError("%s line %d: unknown key '%s'" % (path, lineno, key))
-            if key in seen:
-                raise ConfigError("%s line %d: duplicate key '%s'" % (path, lineno, key))
-            seen.add(key)
-            value = parse_value(key, rest)
-            _validate(key, value)
-            values[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(
+                "%s line %d: expected 'key = value', got %r" % (path, lineno, stripped)
+            )
+        key, _, rest = stripped.partition("=")
+        key = key.strip()
+        rest = rest.strip()
+        if not _KEY_RE.match(key):
+            raise ConfigError("%s line %d: malformed key %r" % (path, lineno, key))
+        if key not in REGISTRY:
+            raise ConfigError("%s line %d: unknown key '%s'" % (path, lineno, key))
+        if key in seen:
+            raise ConfigError("%s line %d: duplicate key '%s'" % (path, lineno, key))
+        seen.add(key)
+        value = parse_value(key, rest)
+        _validate(key, value)
+        values[key] = value
     return ExperimentConfig(values=values)
-
-
-def _format_value(spec: KeySpec, value) -> str:
-    if spec.kind == "bool":
-        return "true" if value else "false"
-    if spec.kind == "float":
-        return repr(float(value))
-    if spec.kind in ("int_list", "str_list"):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render the full effective config; parsing the output reproduces
-    ``cfg`` exactly (floats via repr round-trip)."""
-    lines = []
-    for key in sorted(cfg.values):
-        lines.append("%s = %s" % (key, _format_value(REGISTRY[key], cfg.values[key])))
-    return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ DataError.  ``SynthSpec``'s fields define the ``synth.*`` config keys
 from __future__ import annotations
 
 import csv
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,17 @@ class SplitPair:
     test: Dataset
 
 
+def _csv_records(path):
+    """The rows of a CSV file, read as they are consumed; DataError if the
+    file cannot be opened or read (not UTF-8, a NUL in the path, a field
+    over the csv module's size limit)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from csv.reader(fh)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise DataError("cannot read %s: %s" % (path, exc)) from exc
+
+
 def load_csv(path) -> Dataset:
     """Read a labeled dataset from a CSV file.
 
@@ -93,16 +105,10 @@ def load_csv(path) -> Dataset:
     -------
     Dataset
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc)) from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("%s: file is empty" % path) from None
+    with closing(_csv_records(path)) as records:
+        header = next(records, None)
+        if header is None:
+            raise DataError("%s: file is empty" % path)
         header = [h.strip() for h in header]
         label_hits = [i for i, h in enumerate(header) if h == LABEL_COLUMN]
         if len(label_hits) != 1:
@@ -115,7 +121,7 @@ def load_csv(path) -> Dataset:
 
         rows = []
         labels = []
-        for rownum, rec in enumerate(reader, start=1):
+        for rownum, rec in enumerate(records, start=1):
             if len(rec) != len(header):
                 raise DataError(
                     "%s: row %d has %d fields, expected %d"

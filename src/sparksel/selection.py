@@ -258,18 +258,3 @@ def skb(ds: Dataset, k: int) -> np.ndarray:
     mask = np.zeros(ds.d, dtype=np.int64)
     mask[order[:k]] = 1
     return mask
-
-
-def result_dict(result: SelectionResult, config_echo: dict, wall_time_s: float) -> dict:
-    """SelectionResult as a JSON-ready record for reports."""
-    return {
-        "algorithm": result.algorithm,
-        "config": config_echo,
-        "best_mask": [int(b) for b in result.best_mask],
-        "metrics": result.best_metrics.to_dict(),
-        "loss": result.loss,
-        "importance": [int(c) for c in result.importance],
-        "evaluations": int(result.evaluations),
-        "wall_time_s": wall_time_s,
-    }
-

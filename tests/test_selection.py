@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparksel import selection, swarm
+from sparksel.cli import main
 from sparksel.data import Dataset, SynthSpec, generate_synthetic, stratified_split
 from sparksel.errors import ConfigError, DataError
 from sparksel.selection import (
@@ -16,7 +17,6 @@ from sparksel.selection import (
     discretize,
     fitness,
     repair,
-    result_dict,
     select_features,
     skb,
 )
@@ -307,13 +307,22 @@ class TestSkb:
 
 
 class TestResultDict:
-    def test_report_shape(self):
-        ds = synth(seed=11)
-        res = select_features(ds, sel_cfg(ds.d, max_evaluations=40))
-        doc = result_dict(res, {"some": "echo"}, wall_time_s=0.5)
-        assert set(doc) == {"algorithm", "config", "best_mask", "metrics",
-                            "loss", "importance", "evaluations", "wall_time_s"}
-        assert set(doc["metrics"]) == {"auc", "acc", "pre", "sen", "f1",
-                                       "spe", "avg"}
-        assert doc["metrics"]["avg"] == pytest.approx(res.best_metrics.avg())
-        json.dumps(doc)  # must be serializable as-is
+    def test_report_shape(self, tmp_path):
+        """The CLI's run record: its exact key set (an skb run adds
+        ``k``), the seven metrics keys and ``avg`` as the mean of six."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth.n_samples = 60\nswarm.max_evaluations = 40\n"
+                       "adaboost.rounds = 5\n", encoding="utf-8")
+        keys = {"algorithm", "config", "seed", "best_mask", "metrics", "loss",
+                "importance", "evaluations", "min_popcount", "informative_recall",
+                "wall_time_s"}
+        six = ("auc", "acc", "pre", "sen", "f1", "spe")
+        for args, stem, want in ((["select"], "select", keys),
+                                 (["baseline", "skb"], "baseline_skb", keys | {"k"})):
+            assert main(args + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+            with open(tmp_path / (stem + ".json"), encoding="utf-8") as fh:
+                (run,) = json.load(fh)["runs"]
+            assert set(run) == want
+            assert set(run["metrics"]) == set(six) | {"avg"}
+            assert run["metrics"]["avg"] == pytest.approx(
+                sum(run["metrics"][k] for k in six) / 6)
