@@ -6,11 +6,11 @@ plus the midpoints between consecutive distinct values, so constant
 predictions are always reachable.  Ties in weighted error resolve to
 the lowest feature index, then the lowest threshold, then polarity +1.
 
-``train`` sorts every column once per fit (``presort``); each round's
-``train_stump`` is then one cumulative sum of the class weights over
-that order and one flat argmin over a (feature, split position,
-polarity) error layout, whose first minimum is exactly the tie-break
-above.
+``presort`` sorts every column once: ``selection`` presorts a run's
+whole train table and slices it per fit.  Each round's ``train_stump``
+is then one cumulative sum of the class weights over that order and
+one flat argmin over a (feature, split position, polarity) error
+layout, whose first minimum is exactly the tie-break above.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, is_binary
 
 EPS = 1e-10
 
@@ -53,16 +53,19 @@ class AdaBoostModel:
     def margins(self, X):
         """Real-valued ensemble score sum(alpha_t * h_t(x)) per row."""
         X = np.asarray(X, dtype=np.float64)
-        needed = 1 + max(s.feature_index for s in self.stumps)
+        J = [s.feature_index for s in self.stumps]
+        needed = 1 + max(J)
         if X.ndim != 2 or X.shape[1] < needed:
             raise DataError(
                 "model indexes feature %d; X has %d columns"
                 % (needed - 1, X.shape[1] if X.ndim == 2 else -1)
             )
-        m = np.zeros(X.shape[0])
-        for s in self.stumps:
-            m += s.alpha * s.predict(X)
-        return m
+        T = np.array([s.threshold for s in self.stumps])
+        A = np.array([s.polarity * s.alpha for s in self.stumps])
+        # summed left to right from 0: np.sum's pairwise order changes bits
+        terms = np.zeros((X.shape[0], len(J) + 1))
+        terms[:, 1:] = np.where(X[:, J] >= T, A, -A)
+        return np.cumsum(terms, axis=1)[:, -1]
 
     def predict(self, X):
         """Hard 0/1 labels; a zero margin maps to class 1."""
@@ -85,16 +88,18 @@ def _matrix(X):
 
 
 def presort(X):
-    """The weight-independent part of the stump scan, built once per fit.
+    """The weight-independent part of the stump scan.
 
     Returns ``(order, tied, thresholds)``, each shaped (d, n) with one
     row per feature: the stable row order by value, whether split
     position k (k rows fall below the threshold) is no split because
     sorted values k-1 and k are equal, and the candidate threshold at k
     (one below the minimum at k = 0, else the midpoint of sorted values
-    k-1 and k).  ``X`` must already be a finite 2-D float64 matrix.
+    k-1 and k).  ``X`` must already be a finite 2-D matrix.  Row j
+    depends on column j alone, so ``presort(X[:, cols])`` equals
+    ``tuple(a[cols] for a in presort(X))``.
     """
-    cols = X.T
+    cols = np.asarray(X, dtype=np.float64).T
     order = np.argsort(cols, axis=1, kind="stable")
     v = np.take_along_axis(cols, order, axis=1)
     tied = np.zeros(order.shape, dtype=bool)
@@ -126,8 +131,8 @@ def train_stump(X, y, w, view=None):
     w : ndarray, shape (n,)
         Non-negative sample weights summing to 1 within 1e-9.
     view : tuple, optional
-        ``presort(X)``; ``train`` passes it so the sort runs once per
-        fit.  Without it, X, y and w are validated and X is presorted.
+        ``presort(X)``; ``train`` passes it so the scan never sorts.
+        Without it, X, y and w are validated and X is presorted.
     """
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -171,7 +176,7 @@ def train_stump(X, y, w, view=None):
     return stump, float(errs[j, k, p])
 
 
-def train(X, labels, rounds: int, history: dict | None = None) -> AdaBoostModel:
+def train(X, labels, rounds: int, history: dict | None = None, view=None) -> AdaBoostModel:
     """Fit an AdaBoost ensemble of at most ``rounds`` stumps.
 
     Weights start uniform and are renormalized to sum 1 every round.
@@ -182,10 +187,14 @@ def train(X, labels, rounds: int, history: dict | None = None) -> AdaBoostModel:
     Passing a dict as ``history`` fills it with per-round diagnostics:
     "epsilon", "weight_sum" (after the update), "bound" (the running
     exponential loss bound prod 2*sqrt(eps*(1-eps))), and "train_error".
+    ``view`` is ``presort(X)`` when the caller has it; else X is presorted here.
     """
     X = _matrix(X)
+    view = presort(X) if view is None else view
+    if len(view) != 3 or any(np.shape(a) != X.shape[::-1] for a in view):
+        raise DataError("presorted view does not match X's %d x %d shape" % X.shape)
     labels = np.asarray(labels)
-    if labels.shape != (X.shape[0],) or not np.isin(labels, (0, 1)).all():
+    if labels.shape != (X.shape[0],) or not is_binary(labels):
         raise DataError("labels must be a 0/1 vector matching X rows")
     if not ((labels == 0).any() and (labels == 1).any()):
         raise DataError("single-class training labels")
@@ -195,7 +204,6 @@ def train(X, labels, rounds: int, history: dict | None = None) -> AdaBoostModel:
         history.update(epsilon=[], weight_sum=[], bound=[], train_error=[])
 
     y = 2.0 * labels - 1.0
-    view = presort(X)
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
     stumps = []

@@ -141,11 +141,14 @@ def _write_atomic(path, content) -> None:
     os.replace(tmp, path)
 
 
-def _dataset_for_seed(cfg: ExperimentConfig, seed: int):
+def _datasets(cfg: ExperimentConfig, seeds):
+    """(seed, dataset) per seed: the ``data.path`` table, read once for
+    the command, or the seed's synthetic table."""
     path = cfg.get("data.path")
-    if path:
-        return load_csv(path)
-    return generate_synthetic(SynthSpec(seed=seed, **cfg.field_values(SynthSpec)))
+    table = load_csv(path) if path else None
+    for seed in seeds:
+        yield seed, table if path else generate_synthetic(
+            SynthSpec(seed=seed, **cfg.field_values(SynthSpec)))
 
 
 def _swarm_config(cfg: ExperimentConfig, seed: int, dimensions: int) -> swarm.SwarmConfig:
@@ -193,16 +196,14 @@ def _run_record(res: selection.SelectionResult, ds, sel_cfg, seed: int, t0: floa
     return entry
 
 
-def _selection_run(cfg: ExperimentConfig, seed: int) -> dict:
-    ds = _dataset_for_seed(cfg, seed)
+def _selection_run(cfg: ExperimentConfig, seed: int, ds) -> dict:
     sel_cfg = _selection_config(cfg, seed, ds.d)
     t0 = time.perf_counter()
     res = selection.select_features(ds, sel_cfg)
     return _run_record(res, ds, sel_cfg, seed, t0)
 
 
-def _skb_run(cfg: ExperimentConfig, seed: int) -> dict:
-    ds = _dataset_for_seed(cfg, seed)
+def _skb_run(cfg: ExperimentConfig, seed: int, ds) -> dict:
     sel_cfg = _selection_config(cfg, seed, ds.d)
     t0 = time.perf_counter()
     k = cfg.get("skb.k") or sel_cfg.floor
@@ -235,7 +236,7 @@ def _selection_aggregate(runs) -> dict:
 # method label, report file stem); _dispatch builds and writes the report.
 
 def _select(args, cfg: ExperimentConfig, seeds, out_dir):
-    runs = [_selection_run(cfg, s) for s in seeds]
+    runs = [_selection_run(cfg, s, ds) for s, ds in _datasets(cfg, seeds)]
     label = "%s-%s" % (args.command, cfg.get("swarm.algorithm"))
     return runs, _selection_aggregate(runs), label, args.command
 
@@ -251,7 +252,7 @@ def _importance(args, cfg: ExperimentConfig, seeds, out_dir):
 
 def _baseline(args, cfg: ExperimentConfig, seeds, out_dir):
     run = _skb_run if args.variant == "skb" else _selection_run
-    runs = [run(cfg, s) for s in seeds]
+    runs = [run(cfg, s, ds) for s, ds in _datasets(cfg, seeds)]
     label, stem = "baseline-" + args.variant, "baseline_" + args.variant
     return runs, _selection_aggregate(runs), label, stem
 
@@ -288,8 +289,7 @@ def _bench(args, cfg: ExperimentConfig, seeds, out_dir):
 
 def _synth(args, cfg: ExperimentConfig, seeds, out_dir):
     runs = []
-    for seed in seeds:
-        ds = _dataset_for_seed(cfg.with_overrides({"data.path": ""}), seed)
+    for seed, ds in _datasets(cfg.with_overrides({"data.path": ""}), seeds):
         path = os.path.join(out_dir, "synth_%d.csv" % seed)
         _write_atomic(path, lambda tmp: save_csv(ds, tmp))
         runs.append(
@@ -380,10 +380,12 @@ def _compare(cfg: ExperimentConfig, out_dir) -> dict:
     reports = []
     for path in paths:
         try:
-            with open(path, encoding="utf-8") as fh:
-                report = json.load(fh)
-        except OSError as exc:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise DataError("cannot read report %s: %s" % (path, exc)) from None
+        try:
+            report = json.loads(raw.decode("utf-8"))
         except ValueError as exc:  # bad JSON, bad UTF-8, an integer over Python's digit limit
             raise DataError("report %s is not valid JSON: %s" % (path, exc)) from None
         if not isinstance(report, dict):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, at_least, between, check_fields, fraction, setting
+from .errors import DataError, at_least, between, check_fields, fraction, is_binary, setting
 
 LABEL_COLUMN = "label"
 
@@ -52,7 +52,7 @@ class Dataset:
             )
         if not np.isfinite(f).all():
             raise DataError("features contain non-finite values")
-        if not np.isin(y, (0, 1)).all():
+        if not is_binary(y):
             raise DataError("labels must be 0 or 1")
         if len(self.feature_names) != f.shape[1]:
             raise DataError(

@@ -31,6 +31,11 @@ class InvariantError(Exception):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+def is_binary(v) -> bool:
+    """True when every entry of the array ``v`` equals 0 or 1."""
+    return bool(((v == 0) | (v == 1)).all())
+
+
 def fraction(lo, hi, lo_open=True, hi_open=True):
     def check(v):
         ok_lo = v > lo if lo_open else v >= lo

@@ -335,7 +335,7 @@ def read_frames(path) -> FrameSequence:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DataError("cannot read %s: %s" % (path, exc)) from exc
     if len(raw) < _HEADER.size:
         raise DataError("%s: truncated header (%d bytes)" % (path, len(raw)))

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .errors import DataError
+from .errors import DataError, is_binary
 
 
 @dataclass(frozen=True)
@@ -69,12 +68,9 @@ def confusion(y_true, y_pred) -> ConfusionCounts:
     if t.size == 0:
         raise DataError("empty label vectors")
     for name, v in (("y_true", t), ("y_pred", p)):
-        if not np.isin(v, (0, 1)).all():
+        if not is_binary(v):
             raise DataError("%s must contain only 0 and 1" % name)
-    tp = int(np.sum((t == 1) & (p == 1)))
-    tn = int(np.sum((t == 0) & (p == 0)))
-    fp = int(np.sum((t == 0) & (p == 1)))
-    fn = int(np.sum((t == 1) & (p == 0)))
+    tn, fp, fn, tp = np.bincount((2 * t + p).astype(np.intp), minlength=4).tolist()
     return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
@@ -113,14 +109,22 @@ def auc(y_true, scores) -> float:
     s = np.asarray(scores, dtype=np.float64)
     if t.shape != s.shape or t.ndim != 1:
         raise DataError("y_true and scores must be equal-length vectors")
-    if not np.isin(t, (0, 1)).all():
+    if np.isnan(s).any():
+        raise DataError("scores hold NaN, which has no rank")
+    if not is_binary(t):
         raise DataError("y_true must contain only 0 and 1")
     n_pos = int(np.sum(t == 1))
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("auc needs both classes present")
-    # 1-based ranks; tied values share the mean of their rank block
-    ranks = rankdata(s, method="average")
+    # 1-based ranks: the tie block at sorted positions [a, b) shares
+    # (a + b + 1) / 2, an exact half, so the rank sum is exact
+    order = np.argsort(s, kind="stable")
+    v = s[order]
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     rank_sum = float(ranks[t == 1].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

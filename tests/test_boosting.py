@@ -237,6 +237,61 @@ class TestVectorizedScan:
         assert train_stump(X, y, w, boosting.presort(X)) == train_stump(X, y, w)
 
 
+def loop_margins(model, X):
+    """Reference ensemble score: one stump at a time into a zero vector."""
+    m = np.zeros(X.shape[0])
+    for s in model.stumps:
+        m += s.alpha * s.predict(X)
+    return m
+
+
+def bits(model):
+    return [(s.feature_index, s.threshold.hex(), s.polarity, s.alpha.hex())
+            for s in model.stumps]
+
+
+class TestFullTableView:
+    def test_margins_match_loop_reference_bytes(self):
+        """Zero-alpha and polarity -1 stumps included, on tied values."""
+        rng = np.random.default_rng(61)
+        for trial in range(300):
+            d = int(rng.integers(1, 6))
+            X = np.round(rng.standard_normal((int(rng.integers(1, 40)), d)), 1)
+            stumps = tuple(
+                Stump(int(rng.integers(0, d)), float(np.round(rng.standard_normal(), 1)),
+                      int(rng.choice([-1, 1])),
+                      0.0 if rng.random() < 0.2 else float(rng.standard_normal() * 3))
+                for _ in range(int(rng.integers(1, 60))))
+            model = AdaBoostModel(stumps)
+            assert model.margins(X).tobytes() == loop_margins(model, X).tobytes(), trial
+
+    def test_sliced_view_trains_the_same_model(self):
+        """train with the rows of a wider table's presort equals train on
+        the sliced columns, stump for stump, ties included."""
+        rng = np.random.default_rng(62)
+        for trial in range(60):
+            X = np.round(rng.standard_normal((int(rng.integers(4, 60)), 12)), trial % 3)
+            labels = (rng.random(X.shape[0]) < 0.3).astype(np.int64)
+            labels[:2] = (0, 1)
+            cols = np.flatnonzero(rng.random(12) < 0.5) if trial % 5 else np.arange(12)
+            if cols.size == 0:
+                cols = np.array([trial % 12])
+            full = boosting.presort(X)
+            got = train(X[:, cols], labels, 15, view=tuple(a[cols] for a in full))
+            assert bits(got) == bits(train(X[:, cols], labels, 15)), trial
+
+    @pytest.mark.parametrize("view", [
+        lambda X: boosting.presort(X[:, :2]),
+        lambda X: boosting.presort(X[1:]),
+        lambda X: boosting.presort(X)[:2],
+        lambda X: boosting.presort(X) + (np.zeros((3, 5)),),
+    ], ids=["too_few_columns", "too_few_rows", "two_arrays", "four_arrays"])
+    def test_mismatched_view_rejected(self, view):
+        X = np.arange(15, dtype=np.float64).reshape(5, 3)
+        with pytest.raises(DataError, match="presorted view"):
+            train(X, np.array([0, 1, 0, 1, 1]), 3, view=view(X))
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("X", [
         [[np.nan], [1.0], [2.0]],

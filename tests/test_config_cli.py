@@ -14,7 +14,7 @@ import pytest
 
 import sparksel
 from sparksel import config as cfgmod
-from sparksel import data, selection
+from sparksel import cli, data, selection
 from sparksel import ippg
 from sparksel.cli import main
 from sparksel.config import default_config, parse_config
@@ -606,6 +606,28 @@ class TestOtherCommands:
         assert calls == {"build_signal": 2 * 2, "bandpass": 2 * 2}
         assert load_report(tmp_path / "ippg.json")["aggregate"]["median_hr_error_hz"] <= 0.1
 
+    def test_ippg_nul_in_frame_path_is_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "ippg.fore_path = a\0b.ippg\n"
+                                     "ippg.nose_path = nose.ippg\n")
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read a\0b.ippg")
+        assert not (tmp_path / "ippg.json").exists()
+
+    def test_data_path_is_read_once_per_command(self, tmp_path, monkeypatch):
+        assert run_cli(["synth", "--config", write_config(tmp_path, QUICK),
+                        "--out", str(tmp_path)]) == 0
+        reads = []
+        monkeypatch.setattr(cli, "load_csv",
+                            lambda path: reads.append(path) or data.load_csv(path))
+        table = tmp_path / "synth_0.csv"
+        cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2")
+                           + "data.path = %s\n" % table, name="csv.cfg")
+        for command in (["select"], ["baseline", "skb"]):
+            reads.clear()
+            assert run_cli(command + ["--config", cfg, "--out", str(tmp_path)]) == 0
+            assert reads == [str(table)]
+
     def test_ippg_single_path_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "ippg.fore_path = only_one.ippg\n")
         assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -735,6 +757,11 @@ class TestCompare:
         cfg = write_config(tmp_path, "compare.reference = missing.json\n",
                            name="cmp.cfg")
         assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_nul_in_report_path_cannot_be_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "compare.reference = a\0b.json\n", name="cmp.cfg")
+        assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("data error: cannot read report a\0b.json")
 
 
 FROZEN_CONFIG = QUICK.replace("seeds = 0", "seeds = 0,1") + (

@@ -175,8 +175,8 @@ def loop_average_ranks(s):
 
 
 def test_auc_ranks_match_loop_reference():
-    """auc ranks with scipy's rankdata; on heavily tied vectors it must
-    give exactly the ranks, and so the AUC, of the loop it replaced."""
+    """On heavily tied vectors scipy's rankdata must give exactly the
+    loop's ranks, and auc exactly the AUC of those ranks."""
     from scipy.stats import rankdata
 
     rng = np.random.default_rng(29)
@@ -190,3 +190,37 @@ def test_auc_ranks_match_loop_reference():
         n_pos = int(y.sum())
         u = float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
         assert auc(y, s) == u / (n_pos * (n - n_pos))
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+def test_auc_equals_rankdata_formula_bytes(tied):
+    """auc ranks in numpy; its AUC must equal the rank-sum formula over
+    scipy's average ranks bit for bit."""
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(31 if tied else 32)
+    for _ in range(400):
+        n = int(rng.integers(2, 300))
+        if tied:  # rounded values, some of them infinite
+            s = np.round(rng.standard_normal(n), int(rng.integers(0, 2)))
+            s[rng.random(n) < 0.05] = np.inf
+        else:
+            s = rng.standard_normal(n) * rng.choice([1e-300, 1.0, 1e300])
+        y = rng.integers(0, 2, size=n)
+        y[0], y[1] = 0, 1
+        n_pos = int(y.sum())
+        u = float(rankdata(s, method="average")[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+        assert auc(y, s).hex() == (u / (n_pos * (n - n_pos))).hex()
+
+
+def test_auc_rejects_nan_scores():
+    with pytest.raises(DataError, match="NaN"):
+        auc([0, 1, 1], [0.2, np.nan, 0.4])
+
+
+def test_confusion_takes_bool_and_float_labels():
+    t, p = np.array([1, 1, 0, 0, 1]), np.array([1, 0, 1, 0, 1])
+    want = confusion(t, p)
+    assert want == ConfusionCounts(tp=2, tn=1, fp=1, fn=1)
+    assert confusion(t.astype(bool), p.astype(bool)) == want
+    assert confusion(t.astype(float), p.astype(np.uint8)) == want

@@ -16,6 +16,7 @@ from sparksel.selection import (
     anova_f,
     discretize,
     fitness,
+    protocol_split,
     repair,
     select_features,
     skb,
@@ -202,6 +203,48 @@ class TestSelectFeatures:
         assert res.loss.hex() == "-0x1.57c7d994df1f6p+2"
         assert [float(v).hex() for v in res.fitness_trace] == [
             "-0x1.55fad40a57eb5p+2"] * 3 + ["-0x1.57c7d994df1f6p+2"] * 2
+
+    def test_wide_tied_run_is_frozen(self):
+        """A 60-column table rounded to one decimal (every column has
+        ties, mask keys pass 32 bits) with a holdout; values recorded
+        before the search split was presorted once per run."""
+        ds = generate_synthetic(SynthSpec(
+            n_samples=90, d_informative=4, d_noise=56, class_imbalance=0.4,
+            noise_sigma=0.8, seed=11))
+        ds = Dataset(np.round(ds.features, 1), ds.labels, ds.feature_names, ds.informative)
+        res = select_features(ds, sel_cfg(60, max_evaluations=60, seed=11,
+                                          holdout_fraction=0.25))
+        assert np.flatnonzero(res.best_mask).tolist() == [
+            0, 2, 3, 4, 6, 7, 9, 13, 14, 16, 17, 21, 22, 23, 24, 27, 31, 33, 37,
+            42, 45, 47, 49, 51, 59]
+        assert res.importance.tolist() == [
+            43, 15, 30, 31, 35, 18, 36, 35, 15, 26, 31, 18, 13, 35, 34, 12, 24, 34,
+            4, 17, 17, 31, 45, 32, 36, 16, 10, 35, 7, 15, 19, 27, 22, 27, 10, 14,
+            8, 23, 26, 11, 13, 13, 40, 12, 15, 38, 18, 22, 13, 26, 9, 22, 28, 19,
+            12, 15, 21, 20, 11, 44]
+        assert (res.evaluations, res.min_popcount) == (60, 12)
+        assert res.loss.hex() == "-0x1.4a4c24c24c24cp+2"
+        assert res.holdout_metrics.avg().hex() == "0x1.90f709c3fabf9p-1"
+        assert [float(v).hex() for v in res.fitness_trace] == [
+            "-0x1.323f63f63f640p+2"] + ["-0x1.4a4c24c24c24cp+2"] * 5
+
+    def test_search_split_is_presorted_once_per_run(self, monkeypatch):
+        """One presort of the train table per run; every fit, the final
+        refit included, slices it."""
+        shapes, real_presort = [], selection.boosting.presort
+
+        def counting_presort(X):
+            shapes.append(np.shape(X))
+            return real_presort(X)
+
+        monkeypatch.setattr(selection.boosting, "presort", counting_presort)
+        ds = synth(n=60, d_inf=2, d_noise=4, seed=5)
+        for seed in (5, 6):
+            res = select_features(ds, sel_cfg(ds.d, max_evaluations=80, seed=seed,
+                                              holdout_fraction=0.2))
+            assert res.evaluations == 80
+        train_rows = len(protocol_split(ds, sel_cfg(ds.d, holdout_fraction=0.2))[0].train.labels)
+        assert shapes == [(train_rows, ds.d)] * 2
 
     def test_repeated_masks_are_trained_once(self, monkeypatch):
         """The per-run loss memo trains each distinct repaired mask once,
