@@ -15,8 +15,8 @@ from sparksel.data import SynthSpec, generate_synthetic, stratified_split
 from sparksel.selection import (
     SelectionConfig,
     fitness,
-    skb,
     select_features,
+    select_k_best,
 )
 
 spec = SynthSpec(
@@ -52,8 +52,8 @@ print("all-features baseline average       : %.4f" % m_all.avg())
 order = np.argsort(-res.importance)
 print("\nmost-visited features:", order[:8].tolist())
 
-# a plain filter baseline for contrast: top-k columns by F score
-filter_mask = skb(ds, k=int(mask.sum()))
-_, m_skb = fitness(filter_mask, split, cfg)
+# a plain filter baseline for contrast: top-k columns by F score, picked
+# on the train side only and graded on the same test side
+res_skb = select_k_best(ds, cfg, k=int(mask.sum()))
 print("filter (top-%d by F score) average   : %.4f"
-      % (mask.sum(), m_skb.avg()))
+      % (mask.sum(), res_skb.best_metrics.avg()))

@@ -16,11 +16,13 @@ full effective config, so a report alone reproduces the run.  Reports
 are assembled in one place, the end of ``_dispatch``: a command returns
 its runs and aggregate (compare its table rows, after writing
 compare.txt), and ``_dispatch`` adds the header fields and the wall
-time, then writes ``<out>/<stem>.json``.  The swarm scores each batch
-of candidates in one objective call on the calling thread.  The output
-directory is created before the command runs, and every file lands in
-it atomically (temp then rename).  Exit codes: 0 success, 1 config
-error, 2 data error, 3 internal invariant violation.
+time, then writes ``<out>/<stem>.json``.  select, importance and
+baseline share one body, ``_select``, and ``_selection_runs`` builds
+every selection run record.  The swarm scores each batch of candidates
+in one objective call on the calling thread.  The output directory is
+created before the command runs, and every file lands in it atomically
+(temp then rename).  Exit codes: 0 success, 1 config error (running out
+of memory included), 2 data error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -84,6 +86,10 @@ def main(argv=None) -> int:
     except DataError as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # each setting is bounded, but a combination can still be too big
+        print("config error: out of memory: %s" % exc, file=sys.stderr)
+        return 1
     except (InvariantError, AssertionError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
@@ -157,104 +163,69 @@ def _swarm_config(cfg: ExperimentConfig, seed: int, dimensions: int) -> swarm.Sw
     )
 
 
-def _selection_config(cfg: ExperimentConfig, seed: int, dimensions: int):
-    return selection.SelectionConfig(
-        swarm=_swarm_config(cfg, seed, dimensions),
-        split_seed=seed,
-        **cfg.field_values(selection.SelectionConfig),
-    )
-
-
-def _recall(mask, informative):
-    if informative is None:
-        return None
-    hits = int(np.asarray(mask)[list(informative)].sum())
-    return hits / len(informative)
-
-
 # --- command bodies --------------------------------------------------------
-
-def _run_record(res: selection.SelectionResult, ds, sel_cfg, seed: int, t0: float) -> dict:
-    """Report record of one selection run; ``t0`` is its start time."""
-    entry = {
-        "algorithm": res.algorithm,
-        "config": dataclasses.asdict(sel_cfg),
-        "seed": seed,
-        "best_mask": [int(b) for b in res.best_mask],
-        "metrics": res.best_metrics.to_dict(),
-        "loss": res.loss,
-        "importance": [int(c) for c in res.importance],
-        "evaluations": int(res.evaluations),
-        "min_popcount": res.min_popcount,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    recall = _recall(res.best_mask, ds.informative)
-    if recall is not None:
-        entry["informative_recall"] = recall
-    if res.holdout_metrics is not None:
-        entry["holdout_metrics"] = res.holdout_metrics.to_dict()
-    return entry
-
-
-def _selection_run(cfg: ExperimentConfig, seed: int, ds) -> dict:
-    sel_cfg = _selection_config(cfg, seed, ds.d)
-    t0 = time.perf_counter()
-    res = selection.select_features(ds, sel_cfg)
-    return _run_record(res, ds, sel_cfg, seed, t0)
-
-
-def _skb_run(cfg: ExperimentConfig, seed: int, ds) -> dict:
-    sel_cfg = _selection_config(cfg, seed, ds.d)
-    t0 = time.perf_counter()
-    k = cfg.get("skb.k") or sel_cfg.floor
-    split, holdout = selection.protocol_split(ds, sel_cfg)
-    mask = selection.skb(split.train, k)
-    loss, mset, holdout_metrics = selection.fit_mask(mask, split, sel_cfg, holdout)
-    res = selection.SelectionResult(
-        algorithm="skb", best_mask=mask, best_metrics=mset, loss=loss,
-        importance=mask, evaluations=1, min_popcount=int(mask.sum()),
-        fitness_trace=np.array([loss]), holdout_metrics=holdout_metrics,
-    )
-    entry = _run_record(res, ds, sel_cfg, seed, t0)
-    entry["k"] = int(k)
-    return entry
-
-
-def _selection_aggregate(runs) -> dict:
-    agg = {
-        "median_avg": statistics.median(r["metrics"]["avg"] for r in runs),
-        "median_loss": statistics.median(r["loss"] for r in runs),
-    }
-    if all("informative_recall" in r for r in runs):
-        agg["median_informative_recall"] = statistics.median(
-            r["informative_recall"] for r in runs
-        )
-    return agg
-
 
 # Each command maps (args, cfg, seeds, out_dir) to (runs, aggregate,
 # method label, report file stem); _dispatch builds and writes the report.
 
+def _selection_runs(cfg: ExperimentConfig, seeds, variant) -> list:
+    """One report record per seed: the skb filter's run when ``variant``
+    is "skb", else the configured swarm's wrapper run."""
+    runs = []
+    for seed, ds in _datasets(cfg, seeds):
+        sel_cfg = selection.SelectionConfig(
+            swarm=_swarm_config(cfg, seed, ds.d), split_seed=seed,
+            **cfg.field_values(selection.SelectionConfig),
+        )
+        t0 = time.perf_counter()
+        if variant == "skb":
+            k = cfg.get("skb.k") or sel_cfg.floor
+            res = selection.select_k_best(ds, sel_cfg, k)
+        else:
+            res = selection.select_features(ds, sel_cfg)
+        run = {
+            "algorithm": res.algorithm,
+            "config": dataclasses.asdict(sel_cfg),
+            "seed": seed,
+            "best_mask": [int(b) for b in res.best_mask],
+            "metrics": res.best_metrics.to_dict(),
+            "loss": res.loss,
+            "importance": [int(c) for c in res.importance],
+            "evaluations": int(res.evaluations),
+            "min_popcount": res.min_popcount,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        if variant == "skb":
+            run["k"] = int(k)
+        if ds.informative is not None:
+            hits = int(res.best_mask[list(ds.informative)].sum())
+            run["informative_recall"] = hits / len(ds.informative)
+        if res.holdout_metrics is not None:
+            run["holdout_metrics"] = res.holdout_metrics.to_dict()
+        runs.append(run)
+    return runs
+
+
 def _select(args, cfg: ExperimentConfig, seeds, out_dir):
-    runs = [_selection_run(cfg, s, ds) for s, ds in _datasets(cfg, seeds)]
-    label = "%s-%s" % (args.command, cfg.get("swarm.algorithm"))
-    return runs, _selection_aggregate(runs), label, args.command
-
-
-def _importance(args, cfg: ExperimentConfig, seeds, out_dir):
-    """select's runs plus the summed importance counts and their ranking."""
-    runs, aggregate, label, stem = _select(args, cfg, seeds, out_dir)
-    total = np.sum([np.asarray(r["importance"]) for r in runs], axis=0)
-    aggregate["importance_total"] = [int(c) for c in total]
-    aggregate["ranking"] = [int(i) for i in np.lexsort((np.arange(total.size), -total))]
-    return runs, aggregate, label, stem
-
-
-def _baseline(args, cfg: ExperimentConfig, seeds, out_dir):
-    run = _skb_run if args.variant == "skb" else _selection_run
-    runs = [run(cfg, s, ds) for s, ds in _datasets(cfg, seeds)]
-    label, stem = "baseline-" + args.variant, "baseline_" + args.variant
-    return runs, _selection_aggregate(runs), label, stem
+    """select, importance and baseline: the selection runs and their
+    medians, plus importance's summed counts and their ranking."""
+    variant = getattr(args, "variant", None)
+    runs = _selection_runs(cfg, seeds, variant)
+    aggregate = {
+        "median_avg": statistics.median(r["metrics"]["avg"] for r in runs),
+        "median_loss": statistics.median(r["loss"] for r in runs),
+    }
+    if all("informative_recall" in r for r in runs):
+        aggregate["median_informative_recall"] = statistics.median(
+            r["informative_recall"] for r in runs
+        )
+    if args.command == "importance":
+        total = np.sum([np.asarray(r["importance"]) for r in runs], axis=0)
+        aggregate["importance_total"] = [int(c) for c in total]
+        aggregate["ranking"] = [int(i) for i in np.lexsort((np.arange(total.size), -total))]
+    method = variant or cfg.get("swarm.algorithm")
+    stem = args.command if variant is None else "baseline_" + variant
+    return runs, aggregate, "%s-%s" % (args.command, method), stem
 
 
 def _bench(args, cfg: ExperimentConfig, seeds, out_dir):
@@ -355,7 +326,7 @@ def _ippg(args, cfg: ExperimentConfig, seeds, out_dir):
     return runs, aggregate, "ippg", "ippg"
 
 
-_COMMANDS = {"select": _select, "importance": _importance, "baseline": _baseline,
+_COMMANDS = {"select": _select, "importance": _select, "baseline": _select,
              "bench": _bench, "synth": _synth, "ippg": _ippg}
 
 

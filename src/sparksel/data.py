@@ -93,7 +93,7 @@ def load_csv(path) -> Dataset:
 
     The file must be UTF-8, comma separated, with a header row.  Exactly
     one column must be named ``label`` and hold 0/1 values; every other
-    column is a numeric feature.  Errors name the offending data row
+    column (at least one) is a numeric feature.  Errors name the offending data row
     (1-based, header excluded) and column.
 
     Parameters
@@ -118,6 +118,8 @@ def load_csv(path) -> Dataset:
             )
         label_idx = label_hits[0]
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        if not feature_names:
+            raise DataError("%s: no feature columns besides '%s'" % (path, LABEL_COLUMN))
 
         rows = []
         labels = []
@@ -129,8 +131,6 @@ def load_csv(path) -> Dataset:
                 )
             vals = []
             for col, cell in enumerate(rec):
-                if col == label_idx:
-                    continue
                 try:
                     vals.append(float(cell))
                 except ValueError:
@@ -138,13 +138,7 @@ def load_csv(path) -> Dataset:
                         "%s: row %d, column '%s': not a number: %r"
                         % (path, rownum, header[col], cell)
                     ) from None
-            try:
-                lab = float(rec[label_idx])
-            except ValueError:
-                raise DataError(
-                    "%s: row %d, column '%s': not a number: %r"
-                    % (path, rownum, LABEL_COLUMN, rec[label_idx])
-                ) from None
+            lab = vals.pop(label_idx)
             if lab not in (0.0, 1.0):
                 raise DataError(
                     "%s: row %d: label must be 0 or 1, got %r"

@@ -14,7 +14,7 @@ positions in one call on the calling thread; the batch objective scores
 its rows one at a time in row order, so these counters need no lock.
 
 The ANOVA-based select-k-best filter lives here too as the
-non-wrapper baseline.
+non-wrapper baseline; ``select_k_best`` runs it on the search split.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class ImportanceTracker:
 
 @dataclass(frozen=True, eq=False)
 class SelectionResult:
-    """Outcome of one selection run; the skb filter fills it with its
-    single evaluated mask."""
+    """Outcome of one selection run; ``select_k_best`` fills it with the
+    skb filter's single evaluated mask."""
 
     algorithm: str
     best_mask: np.ndarray
@@ -263,3 +263,17 @@ def skb(ds: Dataset, k: int) -> np.ndarray:
     mask = np.zeros(ds.d, dtype=np.int64)
     mask[order[:k]] = 1
     return mask
+
+
+def select_k_best(ds: Dataset, cfg: SelectionConfig, k: int) -> SelectionResult:
+    """The skb filter as one selection run: pick ``k`` columns on the
+    search split's train side, then fit and score that mask as
+    ``select_features`` scores its best one, holdout included."""
+    split, holdout = protocol_split(ds, cfg)
+    mask = skb(split.train, k)
+    loss, mset, holdout_metrics = fit_mask(mask, split, cfg, holdout)
+    return SelectionResult(
+        algorithm="skb", best_mask=mask, best_metrics=mset, loss=loss,
+        importance=mask, evaluations=1, min_popcount=int(mask.sum()),
+        fitness_trace=np.array([loss]), holdout_metrics=holdout_metrics,
+    )

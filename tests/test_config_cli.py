@@ -468,6 +468,28 @@ class TestExitCodes:
         assert err.startswith("config error:") and key in err
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command", [["select"], ["baseline", "skb"]],
+                             ids=["select", "baseline_skb"])
+    def test_label_only_csv_is_data_error(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "x.csv"
+        csv_path.write_text("label\n0\n1\n0\n1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, QUICK + "data.path = %s\n" % csv_path)
+        assert run_cli(command + ["--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(csv_path) in err
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys):
+        # every setting within its own bound, together 5.33 PiB of frames:
+        # more than any 64-bit address space, so the allocation fails at once
+        cfg = write_config(tmp_path, "seeds = 0\nippg.height = 10000\n"
+                           "ippg.width = 10000\nippg.duration_s = 100000\n")
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory:") and "PiB" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ippg.json").exists()
+
     def test_usage_error_maps_to_config_error(self, capsys):
         assert run_cli(["no-such-command"]) == 1
         assert run_cli([]) == 1

@@ -349,6 +349,40 @@ class TestSkb:
         assert np.median(hits) >= 4
 
 
+class TestSelectKBest:
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.25])
+    def test_equals_skb_on_the_search_train_side(self, holdout_fraction, monkeypatch):
+        """The filter's run is skb on the search split's train side, fit
+        and scored by fit_mask, bit for bit; the holdout never reaches skb."""
+        ds = synth(n=80, seed=4)
+        cfg = sel_cfg(ds.d, holdout_fraction=holdout_fraction)
+        split, holdout = protocol_split(ds, cfg)
+        want_mask = skb(split.train, 3)
+        want_loss, want_set, want_held = selection.fit_mask(want_mask, split, cfg, holdout)
+
+        seen = []
+        monkeypatch.setattr(selection, "skb", lambda part, k: seen.append(part) or skb(part, k))
+        res = selection.select_k_best(ds, cfg, 3)
+
+        assert res.best_mask.tolist() == want_mask.tolist()
+        assert float.hex(res.loss) == float.hex(want_loss)
+        assert res.best_metrics.to_dict() == want_set.to_dict()
+        assert [float.hex(v) for v in res.fitness_trace] == [float.hex(want_loss)]
+        assert res.algorithm == "skb"
+        assert res.evaluations == 1
+        assert res.min_popcount == 3
+        assert res.importance.tolist() == res.best_mask.tolist()
+        (picked_on,) = seen
+        assert np.array_equal(picked_on.features, split.train.features)
+        if holdout_fraction == 0.0:
+            assert res.holdout_metrics is None and holdout is None
+        else:
+            assert res.holdout_metrics.to_dict() == want_held.to_dict()
+            held_rows = {row.tobytes() for row in holdout.features}
+            assert not held_rows & {row.tobytes() for row in picked_on.features}
+            assert picked_on.n + split.test.n + holdout.n == ds.n
+
+
 class TestResultDict:
     def test_report_shape(self, tmp_path):
         """The CLI's run record: its exact key set (an skb run adds
