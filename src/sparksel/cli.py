@@ -309,6 +309,9 @@ def _ippg(args, cfg: ExperimentConfig, seeds, out_dir):
         return [_ippg_entry(fore, nose, None, None)], {}, "ippg", "ippg"
 
     pulse = cfg.field_values(ippg.PulseSpec)
+    if cfg.get("ippg.emit_frames") and pulse["fps"] > ippg.MAX_FILE_FPS:
+        raise ConfigError("ippg.fps: must be <= %d when ippg.emit_frames is true (got %d)"
+                          % (ippg.MAX_FILE_FPS, pulse["fps"]))
     injected = (pulse["hr_hz"], pulse["rr_hz"])
     runs = []
     for seed in seeds:

@@ -118,9 +118,7 @@ def _validate(key, value):
     spec = REGISTRY.get(key)
     if spec is None:
         raise ConfigError("unknown key '%s'" % key)
-    msg = check_value(spec.kind, spec.check, value)
-    if msg:
-        raise ConfigError("%s: %s (got %r)" % (key, msg, value))
+    check_value(key, spec.kind, spec.check, value)
 
 
 def parse_value(key: str, text: str):

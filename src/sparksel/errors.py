@@ -10,8 +10,9 @@ key's name, default, kind (its annotation) and range; ``check_fields``
 applies the checks and ``config.REGISTRY`` is derived from the same
 fields (``data.SynthSpec``, ``ippg.PulseSpec``,
 ``selection.SelectionConfig`` and ``swarm.SwarmConfig``).
-``check_value`` holds the one rule both apply: the value must be of
-its kind, a float must be finite, then it must pass its range check.
+``check_value`` holds the one rule both apply, and the one message: the
+value must be of its kind, a float must be finite, then it must pass
+its range check, else the error reads "<key>: <problem> (got <value>)".
 """
 
 import numbers
@@ -74,21 +75,25 @@ def setting(default=MISSING, key=None, check=None):
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
-def check_value(kind: str, check, value):
-    """Error message for a setting of ``kind`` ("int", "float", "bool",
-    "str", or "int_list"/"str_list" for a list of them), or None.  The
-    value must be of the kind (a bool only of "bool", though it is an
-    int), a float must be finite, then it must pass its range ``check``."""
+def check_value(name: str, kind: str, check, value, error=ConfigError) -> None:
+    """Raise ``error`` as "<name>: <problem> (got <value>)" unless
+    ``value`` is of ``kind`` ("int", "float", "bool", "str", or
+    "int_list"/"str_list" for a list of them; a bool only of "bool",
+    though it is an int), is finite if a float, and passes its range
+    ``check``."""
     base, is_list, _ = kind.partition("_list")
     items = value if is_list else [value]
     if not isinstance(items, list) or not all(
         isinstance(v, _KINDS[base]) and isinstance(v, bool) == (base == "bool") for v in items
     ):
-        return "wrong type, want %s" % kind
+        msg = "wrong type, want %s" % kind
     # the exact comparison also rejects NaN and ints past a float's range
-    if kind == "float" and not abs(value) <= sys.float_info.max:
-        return "must be finite"
-    return check(value) if check is not None else None
+    elif kind == "float" and not abs(value) <= sys.float_info.max:
+        msg = "must be finite"
+    else:
+        msg = check(value) if check is not None else None
+    if msg:
+        raise error("%s: %s (got %r)" % (name, msg, value))
 
 
 def check_fields(obj, error=ConfigError) -> None:
@@ -96,9 +101,5 @@ def check_fields(obj, error=ConfigError) -> None:
     ``obj`` whose value breaks ``check_value`` for its annotated kind;
     other fields are not checked."""
     for f in fields(obj):
-        if "check" not in f.metadata:
-            continue
-        value = getattr(obj, f.name)
-        msg = check_value(f.type, f.metadata["check"], value)
-        if msg:
-            raise error("%s: %s (got %r)" % (f.name, msg, value))
+        if "check" in f.metadata:
+            check_value(f.name, f.type, f.metadata["check"], getattr(obj, f.name), error)

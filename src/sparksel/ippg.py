@@ -38,6 +38,7 @@ from .errors import DataError, at_least, between, check_fields, fraction, positi
 
 MAGIC = b"IPPG"
 _HEADER = struct.Struct("<4sIHHBB2x")
+MAX_FILE_FPS = 255  # the header stores fps as u8
 
 CHANNELS = ("r", "g", "b")
 ROI_TAGS = ("fore", "nose")
@@ -321,7 +322,7 @@ def feature_schema(fps: int, n_frames: int, nose_frames: int | None = None) -> t
 def write_frames(frames: FrameSequence, path) -> None:
     """Serialize a FrameSequence to the 16-byte-header binary format."""
     t, h, w, c = frames.pixels.shape
-    if not 1 <= frames.fps <= 255:
+    if not 1 <= frames.fps <= MAX_FILE_FPS:
         raise DataError("fps must fit u8, got %d" % frames.fps)
     header = _HEADER.pack(MAGIC, t, h, w, c, frames.fps)
     with open(path, "wb") as fh:

@@ -27,7 +27,8 @@ import numpy as np
 from . import boosting, metrics, swarm
 from .data import Dataset, SplitPair, stratified_split
 from .errors import (
-    ConfigError, DataError, InvariantError, at_least, check_fields, fraction, setting,
+    ConfigError, DataError, InvariantError, at_least, between, check_fields, check_value,
+    fraction, setting,
 )
 
 
@@ -255,9 +256,9 @@ def anova_f(ds: Dataset) -> np.ndarray:
 
 def skb(ds: Dataset, k: int) -> np.ndarray:
     """Filter baseline: mask of the k features with the highest ANOVA
-    F-statistic, ties resolved toward the lower index."""
-    if not 1 <= k <= ds.d:
-        raise ConfigError("k must lie in [1, %d]" % ds.d)
+    F-statistic, ties resolved toward the lower index.  ``k`` is the
+    ``skb.k`` setting and must lie in [1, d]."""
+    check_value("skb.k", "int", between(1, ds.d), k)
     f_stats = anova_f(ds)
     order = np.lexsort((np.arange(ds.d), -f_stats))
     mask = np.zeros(ds.d, dtype=np.int64)

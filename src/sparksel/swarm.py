@@ -4,19 +4,22 @@ Four algorithms share one interface: the fireworks algorithm (FA), an
 improved variant (IFA) that scales each explosion radius by
 personal-best fitness history and re-centers the best firework's
 sparks with multiplicative Gaussian spread, global-best PSO with
-inertia, and the standard bat algorithm (BA).  ``optimize`` owns what
-they share: it draws and evaluates generation 0, keeps the best-so-far
-trace, and stops the run when the budget is spent.  Each algorithm is a
-generator that starts from the evaluated population and yields once per
-generation.
+inertia, and the standard bat algorithm (BA).  Each algorithm is a
+generator that starts from the evaluated generation 0, yields each
+generation's candidates as one batch and receives their fitness back
+(``f = yield batch``).  ``optimize`` alone evaluates: it draws
+generation 0, cuts each batch to the evaluations left, calls the
+objective, checks its values, keeps the best point and the best-so-far
+trace, and ends the run after the batch that spends the budget.
 
 Determinism: every random draw comes from a counter-based Philox
 stream keyed by (seed, generation, role).  A fireworks generation draws
 its explosion sparks from role 1, its Gaussian-mutation sparks from
-role 2 and its survivors from role 3, each as whole arrays; PSO and BA
-draw a generation from role 0.  A run holds one Generator (a
-``Streams`` source) and re-keys it in place for each (seed, generation,
-role); the streams are the ones a fresh Generator per key would draw.
+role 2 and, once they are evaluated, its survivors from role 3, each as
+whole arrays (the run's last generation draws none); PSO and BA draw a
+generation from role 0.  A run holds one Generator (a ``Streams``
+source) and re-keys it in place for each (seed, generation, role); the
+streams are the ones a fresh Generator per key would draw.
 
 Objectives take rows at once: each batch of candidates (the initial
 population, a fireworks generation's sparks, a PSO or BA generation)
@@ -289,51 +292,17 @@ def select_next(fitnesses, n_keep, rng):
 
 # --- shared run machinery ------------------------------------------------
 
-class _Budget:
-    """Counts evaluated rows, tracks the global best, and truncates
-    batches to the remaining budget.  Ties keep the earlier candidate.
-    A result that is not m finite values for m rows raises
-    InvariantError."""
-
-    def __init__(self, objective, max_evaluations):
-        self.objective = objective
-        self.limit = max_evaluations
-        self.used = 0
-        self.best_f = math.inf
-        self.best_x = None
-
-    @property
-    def remaining(self):
-        return self.limit - self.used
-
-    def eval_batch(self, X):
-        m = min(len(X), self.remaining)
-        X = X[:m]
-        f = np.asarray(self.objective(X), dtype=np.float64)
-        if f.shape != (m,):
-            raise InvariantError(
-                "objective returned shape %s for %d rows" % (f.shape, m))
-        bad = np.flatnonzero(~np.isfinite(f))
-        if bad.size:
-            k = int(bad[0])
-            raise InvariantError("objective returned %r at %s" % (float(f[k]), X[k].tolist()))
-        self.used += m
-        if m:
-            k = int(np.argmin(f))
-            if f[k] < self.best_f:
-                self.best_f = float(f[k])
-                self.best_x = X[k].copy()
-        return f
-
-
 def optimize(objective, cfg: SwarmConfig) -> OptResult:
     """Minimize ``objective`` over [0,1]^d under cfg.max_evaluations.
 
-    ``optimize`` owns what the four algorithms share: it draws and
-    evaluates generation 0, starts the best-so-far trace, and stops the
-    run when the budget is spent.  Each runner starts from the evaluated
-    population, keeps its own state, and yields once at the end of each
-    generation; ``optimize`` then appends the best fitness so far.
+    ``optimize`` alone evaluates.  It draws generation 0, then sends
+    each batch's fitness to the algorithm's runner (primed with None)
+    and takes the next batch it yields.  One ``evaluate`` step serves
+    every batch: it cuts the batch to the evaluations left, calls the
+    objective, checks the values, keeps the best point (ties keep the
+    earlier row) and appends the best fitness so far to the trace.  The
+    run ends right after the batch that spends the budget, so only the
+    last batch can be cut and no runner sees its fitness.
 
     Parameters
     ----------
@@ -349,28 +318,39 @@ def optimize(objective, cfg: SwarmConfig) -> OptResult:
     -------
     OptResult
         Best point found, its fitness, exact evaluation count, and the
-        per-generation best-so-far trace.
+        per-batch best-so-far trace (generation 0 first).
     """
-    budget = _Budget(objective, cfg.max_evaluations)
+    used, best_f, best_x, trace = 0, math.inf, None, []
+
+    def evaluate(X):
+        nonlocal used, best_f, best_x
+        X = X[: cfg.max_evaluations - used]
+        f = np.asarray(objective(X), dtype=np.float64)
+        if f.shape != (len(X),):
+            raise InvariantError(
+                "objective returned shape %s for %d rows" % (f.shape, len(X)))
+        bad = np.flatnonzero(~np.isfinite(f))
+        if bad.size:
+            k = int(bad[0])
+            raise InvariantError("objective returned %r at %s" % (float(f[k]), X[k].tolist()))
+        used += len(X)
+        k = int(np.argmin(f))
+        if f[k] < best_f:
+            best_f, best_x = float(f[k]), X[k].copy()
+        trace.append(best_f)
+        return f
+
     stream = Streams(cfg.seed)
     X = stream(0, 0).uniform(size=(cfg.population, cfg.dimensions))
-    f = budget.eval_batch(X)
-    trace = [budget.best_f]
-    # eval_batch shortens a batch only when it spends the budget, so a
-    # population cut short by the budget never reaches a generation
-    generations = _RUNNERS[cfg.algorithm](cfg, stream, budget, X, f)
-    while budget.remaining > 0:
-        next(generations)
-        trace.append(budget.best_f)
-    return OptResult(
-        best_x=budget.best_x,
-        best_fitness=budget.best_f,
-        evaluations_used=budget.used,
-        fitness_trace=np.asarray(trace),
-    )
+    runner = _RUNNERS[cfg.algorithm](cfg, stream, X, evaluate(X))
+    f = None
+    while used < cfg.max_evaluations:
+        f = evaluate(runner.send(f))
+    return OptResult(best_x=best_x, best_fitness=best_f, evaluations_used=used,
+                     fitness_trace=np.asarray(trace))
 
 
-def _fireworks(cfg, stream, budget, X, f):
+def _fireworks(cfg, stream, X, f):
     n = cfg.population
     pbest_f = f
     for gen in itertools.count(1):
@@ -393,15 +373,14 @@ def _fireworks(cfg, stream, budget, X, f):
         donors = rng.integers(n, size=cfg.gaussian_sparks)
         sparks = np.vstack([sparks, gaussian_mutate(X[donors], rng)])
 
-        f_sparks = budget.eval_batch(sparks)
-        pool_x = np.vstack([X, sparks[: f_sparks.size]])
+        f_sparks = yield sparks
+        pool_x = np.vstack([X, sparks])
         pool_f = np.concatenate([f, f_sparks])
         sel = select_next(pool_f, n, stream(gen, 3))
         X, f = pool_x[sel], pool_f[sel]
-        yield
 
 
-def _pso(cfg, stream, budget, X, f):
+def _pso(cfg, stream, X, f):
     n, d = cfg.population, cfg.dimensions
     V = np.zeros((n, d))
     pb_x, pb_f = X.copy(), f.copy()
@@ -417,13 +396,11 @@ def _pso(cfg, stream, budget, X, f):
         )
         V = np.clip(V, -cfg.pso_velocity_clamp, cfg.pso_velocity_clamp)
         X = map_to_bounds(X + V, rng)
-        f = budget.eval_batch(X)
-        m = f.size
-        pb_x[:m], pb_f[:m] = update_pbest(pb_x[:m], pb_f[:m], X[:m], f)
-        yield
+        f = yield X
+        pb_x, pb_f = update_pbest(pb_x, pb_f, X, f)
 
 
-def _bat(cfg, stream, budget, X, f):
+def _bat(cfg, stream, X, f):
     n, d = cfg.population, cfg.dimensions
     V = np.zeros((n, d))
     loud = np.full(n, cfg.ba_loudness)
@@ -440,13 +417,11 @@ def _bat(cfg, stream, budget, X, f):
         cand[local] = walk[local]
         cand = map_to_bounds(cand, rng)
         accept_draw = rng.uniform(size=n)
-        f_cand = budget.eval_batch(cand)
-        m = f_cand.size
-        accept = (accept_draw[:m] < loud[:m]) & (f_cand <= f[:m])
-        X[:m][accept] = cand[:m][accept]
-        f[:m][accept] = f_cand[accept]
-        loud[:m][accept] *= cfg.ba_loudness_decay
-        yield
+        f_cand = yield cand
+        accept = (accept_draw < loud) & (f_cand <= f)
+        X[accept] = cand[accept]
+        f[accept] = f_cand[accept]
+        loud[accept] *= cfg.ba_loudness_decay
 
 
 _RUNNERS = {"ifa": _fireworks, "fa": _fireworks, "pso": _pso, "ba": _bat}

@@ -490,6 +490,26 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "ippg.json").exists()
 
+    def test_skb_k_past_the_columns_names_the_key(self, tmp_path, capsys):
+        # skb.k = 0 picks the lambda floor; a k past the table's 6 columns
+        # fails when the run starts, with the config's own message form
+        cfg = write_config(tmp_path, QUICK + "skb.k = 100\n")
+        assert run_cli(["baseline", "skb", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: skb.k: must lie in [1, 6] (got 100)\n"
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_emit_frames_past_u8_fps_fails_before_any_capture(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # ippg.fps allows 1000, but a frame file stores fps in one byte
+        monkeypatch.setattr(ippg, "synth_pulse_frames",
+                            lambda **kw: pytest.fail("a capture was drawn"))
+        cfg = write_config(tmp_path, "seeds = 0\nippg.emit_frames = true\n"
+                           "ippg.fps = 256\nippg.duration_s = 3\n")
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: ippg.fps: must be <= 255 when ippg.emit_frames is true (got 256)\n")
+        assert not list(tmp_path.glob("*.json")) + list(tmp_path.glob("*.ippg"))
+
     def test_usage_error_maps_to_config_error(self, capsys):
         assert run_cli(["no-such-command"]) == 1
         assert run_cli([]) == 1

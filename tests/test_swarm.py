@@ -313,7 +313,9 @@ class TestFireworksStreams:
         """After the (seed, 0, 0) initial population, each generation
         draws from exactly (seed, gen, 1) explosion sparks, (seed, gen, 2)
         Gaussian-mutation sparks and (seed, gen, 3) survivors, never a
-        stream per spark; two same-seed runs agree bit for bit."""
+        stream per spark; the run ends with the last generation's sparks,
+        so that generation draws no survivors; two same-seed runs agree
+        bit for bit."""
         paths = []
         keyed = swarm.Streams.__call__
 
@@ -326,9 +328,9 @@ class TestFireworksStreams:
         a = optimize(rastrigin, c)
         generations = len(a.fitness_trace) - 1
         assert generations > 10
-        assert len(paths) == 1 + 3 * generations
+        assert len(paths) == 3 * generations
         assert paths == [(0, 0)] + [(g, role) for g in range(1, generations + 1)
-                                    for role in (1, 2, 3)]
+                                    for role in (1, 2, 3)][:-1]
         b = optimize(rastrigin, c)
         assert a.best_x.tobytes() == b.best_x.tobytes()
         assert a.best_fitness.hex() == b.best_fitness.hex()
@@ -511,6 +513,28 @@ class TestBatchContract:
         res = optimize(spy, cfg(algorithm=algo, max_evaluations=137, seed=1))
         assert sum(batches) == res.evaluations_used == 137
         assert len(batches) == len(res.fitness_trace)
+
+    @pytest.mark.parametrize("algo", ["ifa", "fa", "pso", "ba"])
+    def test_nothing_runs_after_the_last_batch(self, algo, monkeypatch):
+        """A budget of 137 ends inside a generation: the run stops at the
+        objective call that spends it, with no stream keyed after."""
+        events = []
+        keyed = swarm.Streams.__call__
+
+        def recording(source, *path):
+            events.append(("stream", path))
+            return keyed(source, *path)
+
+        def spy(X):
+            events.append(("objective", len(X)))
+            return sphere(X)
+
+        monkeypatch.setattr(swarm.Streams, "__call__", recording)
+        res = optimize(spy, cfg(algorithm=algo, max_evaluations=137, seed=1))
+        calls = [n for kind, n in events if kind == "objective"]
+        assert sum(calls) == res.evaluations_used == 137
+        assert events[0] == ("stream", (0, 0))
+        assert events[-1] == ("objective", calls[-1])
 
     @pytest.mark.parametrize("algo", ["ifa", "fa", "pso", "ba"])
     @pytest.mark.parametrize("bad", [
