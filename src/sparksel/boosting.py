@@ -7,10 +7,15 @@ predictions are always reachable.  Ties in weighted error resolve to
 the lowest feature index, then the lowest threshold, then polarity +1.
 
 ``presort`` sorts every column once: ``selection`` presorts a run's
-whole train table and slices it per fit.  Each round's ``train_stump``
-is then one cumulative sum of the class weights over that order and
-one flat argmin over a (feature, split position, polarity) error
-layout, whose first minimum is exactly the tie-break above.
+whole train table and slices it per fit.  ``train`` then builds one
+scan state per fit from that order and the labels: a flat gather index
+into the stacked class weights, the class mask and the round buffers.
+Each round is one gather and one cumulative sum of the class weights,
+both polarities' errors in two calls, and a first-minimum search: the
+lower of the two polarity errors per (feature, split position), with
+non-splits at +inf, whose first minimum in that order is the stump,
+polarity +1 if it reaches the minimum.  That is exactly the tie-break
+above.  ``train_stump`` runs one round of the same scan.
 """
 
 from __future__ import annotations
@@ -110,6 +115,46 @@ def presort(X):
     return order, tied, thresholds
 
 
+class _Scan:
+    """The stump scan's per-fit state: the view's thresholds and tie
+    mask, the (2d, n - 1) flat gather index of the k lowest rows of each
+    feature into the stacked (positive, negative) class weights, the
+    (2, n) class mask, and the cumulative (2d, n) and error (2, d, n)
+    buffers every round reuses.  The cumulative buffer's split position
+    0 stays zero."""
+
+    def __init__(self, view, y):
+        order, self.tied, self.thresholds = view
+        d, n = order.shape
+        below = order[:, :-1]
+        self.index = np.concatenate((below, below + n))
+        self.cls = np.array([y > 0, y < 0])
+        self.cum = np.zeros((2 * d, n))
+        self.errs = np.empty((2, d, n))
+
+    def __call__(self, w):
+        """(feature, threshold, polarity, error) of the best stump under
+        weights ``w``, with the tie-break of ``train_stump``."""
+        if not abs(w.sum() - 1.0) <= 1e-9 or (w < 0).any():  # NaN and inf fail too
+            raise DataError("weights must be finite, non-negative and sum to 1")
+        W = np.where(self.cls, w, 0.0)
+        total = np.add.reduce(W, axis=1)
+        # cum[c, j, k]: class c's weight of the k lowest rows of feature j
+        np.cumsum(W.ravel()[self.index], axis=1, out=self.cum[:, 1:])
+        cum, errs = self.cum.reshape(self.errs.shape), self.errs
+        # polarity +1 misclassifies positives below and negatives at/above;
+        # (total - cum) + cum is bit for bit cum + (total - cum)
+        np.subtract(total[::-1, None, None], cum[::-1], out=errs)
+        errs += cum
+        plus, low = errs
+        np.minimum(plus, low, out=low)  # low[j, k]: the lower polarity's error
+        np.copyto(low, np.inf, where=self.tied)
+        # the first minimum in (feature, split position) order
+        j, k = divmod(int(low.argmin()), low.shape[1])
+        polarity = 1 if plus[j, k] == low[j, k] else -1
+        return j, float(self.thresholds[j, k]), polarity, float(low[j, k])
+
+
 def train_stump(X, y, w, view=None):
     """Exhaustive weighted-error scan over all (feature, threshold,
     polarity) stumps.
@@ -119,8 +164,10 @@ def train_stump(X, y, w, view=None):
     consecutive distinct values.  Returns (stump, error) with the
     stump's alpha left at 0; the boosting loop assigns it.  Ties go to
     the lowest feature, then the lowest threshold, then polarity +1:
-    errors are laid out (feature, split position, polarity) with
-    non-splits at +inf, and the first minimum wins.
+    non-splits score +inf, and among the stumps at the minimum error the
+    first (feature, split position) wins, polarity +1 before -1.  This
+    is one round of the scan ``train`` runs, on a scan state built for
+    this call.
 
     Parameters
     ----------
@@ -129,10 +176,10 @@ def train_stump(X, y, w, view=None):
     y : ndarray, shape (n,)
         Labels in {-1, +1}.
     w : ndarray, shape (n,)
-        Non-negative sample weights summing to 1 within 1e-9.
+        Finite, non-negative sample weights summing to 1 within 1e-9.
     view : tuple, optional
-        ``presort(X)``; ``train`` passes it so the scan never sorts.
-        Without it, X, y and w are validated and X is presorted.
+        ``presort(X)``; with it the scan never sorts.  Without it, X and
+        the lengths of y and w are validated and X is presorted.
     """
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -141,39 +188,10 @@ def train_stump(X, y, w, view=None):
         if y.shape != (X.shape[0],) or w.shape != (X.shape[0],):
             raise DataError("y and w must be vectors of length %d" % X.shape[0])
         view = presort(X)
-    if abs(w.sum() - 1.0) > 1e-9 or (w < 0).any():
-        raise DataError("weights must be non-negative and sum to 1")
-    order, tied, thresholds = view
-    d, n = order.shape
-    w_pos = np.where(y > 0, w, 0.0)
-    w_neg = np.where(y < 0, w, 0.0)
-    total_pos = w_pos.sum()
-    total_neg = w_neg.sum()
-
-    # cum_*[j, k]: weight of the k lowest rows of feature j
-    below = order[:, :-1]
-    cum_pos = np.zeros((d, n))
-    cum_neg = np.zeros((d, n))
-    np.cumsum(w_pos[below], axis=1, out=cum_pos[:, 1:])
-    np.cumsum(w_neg[below], axis=1, out=cum_neg[:, 1:])
-    # polarity +1 misclassifies positives below and negatives at/above;
-    # (total - cum) + cum is bit for bit cum + (total - cum)
-    errs = np.empty((d, n, 2))
-    plus, minus = errs[:, :, 0], errs[:, :, 1]
-    np.subtract(total_neg, cum_neg, out=plus)
-    plus += cum_pos
-    np.subtract(total_pos, cum_pos, out=minus)
-    minus += cum_neg
-    errs[tied] = np.inf
-    best = int(np.argmin(errs))  # first hit wins on ties
-    j, k, p = np.unravel_index(best, errs.shape)
-    stump = Stump(
-        feature_index=int(j),
-        threshold=float(thresholds[j, k]),
-        polarity=1 - 2 * int(p),
-        alpha=0.0,
-    )
-    return stump, float(errs[j, k, p])
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise DataError("labels must be -1 or +1")
+    j, threshold, polarity, err = _Scan(view, y)(w)
+    return Stump(j, threshold, polarity, 0.0), err
 
 
 def train(X, labels, rounds: int, history: dict | None = None, view=None) -> AdaBoostModel:
@@ -188,6 +206,10 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
     "epsilon", "weight_sum" (after the update), "bound" (the running
     exponential loss bound prod 2*sqrt(eps*(1-eps))), and "train_error".
     ``view`` is ``presort(X)`` when the caller has it; else X is presorted here.
+
+    The scan's set-up (gather index, class mask, buffers) is built once
+    per fit; each round reruns only its weight-dependent steps, so every
+    round chooses the stump ``train_stump(X, y, w, view)`` would.
     """
     X = _matrix(X)
     view = presort(X) if view is None else view
@@ -206,14 +228,15 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
     y = 2.0 * labels - 1.0
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
+    scan = _Scan(view, y)
     stumps = []
     margin = np.zeros(n)
     bound = 1.0
     for _ in range(rounds):
-        stump, err = train_stump(X, y, w, view)
+        j, threshold, polarity, err = scan(w)
         eps = min(max(err, EPS), 1.0 - EPS)
         alpha = 0.5 * math.log((1.0 - eps) / eps)
-        stump = Stump(stump.feature_index, stump.threshold, stump.polarity, alpha)
+        stump = Stump(j, threshold, polarity, alpha)
         stumps.append(stump)
         preds = stump.predict(X)
         stop = err <= EPS

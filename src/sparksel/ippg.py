@@ -32,7 +32,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from .errors import DataError, at_least, between, check_fields, fraction, positive, setting
 
@@ -135,7 +134,10 @@ def _check_fps(fps) -> float:
 def _design(band: BandSpec, fps: float):
     """Second-order sections and their unit-step initial state.  The
     sections stay writable: scipy's filter kernel rejects read-only
-    buffers."""
+    buffers.  scipy.signal loads here, on the first design, not with
+    the package: most commands never filter."""
+    from scipy.signal import butter, sosfilt_zi
+
     if not band.high < fps / 2.0:
         raise DataError(
             "band [%g, %g] Hz infeasible at %g fps" % (band.low, band.high, fps)
@@ -167,6 +169,8 @@ def bandpass(series, band: BandSpec, fps: float) -> np.ndarray:
     of ``padlen = min(21, T - 1)`` samples, so the output is bit-equal
     to it; the filter design and its initial state come from a cache
     per (band, fps) instead of being solved again on every call."""
+    from scipy.signal import sosfilt
+
     fps = _check_fps(fps)
     x = np.ascontiguousarray(series, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < 9:

@@ -280,6 +280,77 @@ class TestFullTableView:
             got = train(X[:, cols], labels, 15, view=tuple(a[cols] for a in full))
             assert bits(got) == bits(train(X[:, cols], labels, 15)), trial
 
+    def test_wide_tied_train_is_frozen(self):
+        """320 rows by 32 columns rounded to one decimal, so every column
+        has ties and the class totals pass numpy's 128-element pairwise
+        block; 20 rounds with history, recorded before the scan state
+        moved out of the round loop."""
+        rng = np.random.default_rng(2024)
+        X = np.round(rng.standard_normal((320, 32)), 1)
+        labels = (X[:, 0] - 0.7 * X[:, 5] + rng.standard_normal(320) > 0.4).astype(np.int64)
+        history = {}
+        model = train(X, labels, 20, history=history)
+        assert bits(model) == [
+            (0, '0x1.0000000000000p-2', 1, '0x1.193ea7aad02efp-1'),
+            (5, '-0x1.0000000000000p-2', -1, '0x1.93b0aee21c2b1p-2'),
+            (3, '-0x1.8000000000000p-1', -1, '0x1.3b95ab9495dbdp-2'),
+            (0, '-0x1.0000000000000p-2', 1, '0x1.60c8d5dd46d2bp-2'),
+            (22, '-0x1.8000000000000p-1', -1, '0x1.2fc251d534675p-2'),
+            (5, '0x1.8000000000000p-1', -1, '0x1.0018c79bd539dp-2'),
+            (0, '0x1.2666666666666p+0', 1, '0x1.30773c379f0fdp-2'),
+            (7, '-0x1.0000000000000p-2', 1, '0x1.a53f2d07c57f2p-3'),
+            (31, '-0x1.3333333333334p-3', -1, '0x1.b95e49d38d165p-3'),
+            (4, '-0x1.4ccccccccccccp-1', -1, '0x1.c044db1230e08p-3'),
+            (12, '-0x1.b333333333334p-1', 1, '0x1.091b4c39e451ep-2'),
+            (6, '-0x1.3333333333334p-3', -1, '0x1.9ecd1d9829bb0p-3'),
+            (0, '-0x1.ccccccccccccdp-2', 1, '0x1.8a15dfa03b324p-3'),
+            (13, '0x1.599999999999ap+0', 1, '0x1.e8693a93eadb4p-3'),
+            (5, '0x1.4ccccccccccccp-1', -1, '0x1.9d2b6b3b3d82ap-3'),
+            (10, '-0x1.6666666666666p-2', -1, '0x1.76edf9e7ca57ep-3'),
+            (9, '-0x1.0000000000000p-2', 1, '0x1.92209e24b61f6p-3'),
+            (0, '0x1.4ccccccccccccp-1', 1, '0x1.80b8e39b111cap-3'),
+            (20, '-0x1.999999999999ap-5', -1, '0x1.7f2c3e76d2caap-3'),
+            (20, '-0x1.8000000000000p-1', 1, '0x1.a5101c682a708p-3'),
+        ]
+        assert {k: [float(v).hex() for v in vs] for k, vs in history.items()} == {
+            'epsilon': [
+                '0x1.0000000000015p-2', '0x1.400000000000ap-2', '0x1.6705467054672p-2',
+                '0x1.5645359dab481p-2', '0x1.6c6c879e8f3dap-2', '0x1.828e5fec34d4ep-2',
+                '0x1.6c199a8854acdp-2', '0x1.982613c738796p-2', '0x1.9355c6afe1717p-2',
+                '0x1.91b054a692213p-2', '0x1.7e54b43a3dc7cp-2', '0x1.99b1df3f8a6d8p-2',
+                '0x1.9ead4859e17bcp-2', '0x1.88291b3625ffdp-2', '0x1.9a1624986fb2cp-2',
+                '0x1.a34d07b87c90ep-2', '0x1.9cbd90d60592cp-2', '0x1.a0ef600886de6p-2',
+                '0x1.a14f219b4cc58p-2', '0x1.98315c0fa08b8p-2',
+            ],
+            'weight_sum': [
+                '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.fffffffffffffp-1',
+                '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+                '0x1.fffffffffffffp-1', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+                '0x1.fffffffffffffp-1', '0x1.0000000000000p+0', '0x1.ffffffffffffep-1',
+                '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.fffffffffffffp-1',
+                '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+                '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+            ],
+            'bound': [
+                '0x1.bb67ae8584cb7p-1', '0x1.9b0c25315c2ddp-1', '0x1.884546b8938dep-1',
+                '0x1.7216dd0885efcp-1', '0x1.6261f67eecf97p-1', '0x1.5794dd49a5fadp-1',
+                '0x1.48ef31232049ap-1', '0x1.4218c7ae518f7p-1', '0x1.3ac24843c376bp-1',
+                '0x1.335ddcefef7a2p-1', '0x1.295890e0f5a0cp-1', '0x1.23597e80c33e6p-1',
+                '0x1.1e09a2c1a3ae9p-1', '0x1.16178f98ccd8ep-1', '0x1.1086f922b52e6p-1',
+                '0x1.0c05f583fa101p-1', '0x1.06f03695f701ep-1', '0x1.025dc07685ad7p-1',
+                '0x1.fbd182955f1c1p-2', '0x1.f1457d9ea9e44p-2',
+            ],
+            'train_error': [
+                '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x1.d333333333333p-3',
+                '0x1.f99999999999ap-3', '0x1.8cccccccccccdp-3', '0x1.999999999999ap-3',
+                '0x1.6000000000000p-3', '0x1.7333333333333p-3', '0x1.6000000000000p-3',
+                '0x1.6000000000000p-3', '0x1.4000000000000p-3', '0x1.2666666666666p-3',
+                '0x1.2000000000000p-3', '0x1.2000000000000p-3', '0x1.2000000000000p-3',
+                '0x1.0666666666666p-3', '0x1.0000000000000p-3', '0x1.199999999999ap-3',
+                '0x1.0cccccccccccdp-3', '0x1.0cccccccccccdp-3',
+            ],
+        }
+
     @pytest.mark.parametrize("view", [
         lambda X: boosting.presort(X[:, :2]),
         lambda X: boosting.presort(X[1:]),
@@ -319,6 +390,19 @@ class TestBadInputs:
             train_stump(X, np.array([1.0, -1.0]), uniform_weights(3))
         with pytest.raises(DataError):
             train_stump(X, np.array([1.0, -1.0, 1.0]), uniform_weights(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        X, y = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(DataError, match="weights"):
+            train_stump(X, y, np.array([bad, 0.25, 0.25, 0.25]))
+
+    @pytest.mark.parametrize("y", [[1.0, 0.0, 1.0, 0.0], [1.0, -1.0, 2.0, -1.0],
+                                   [1.0, -1.0, np.nan, -1.0]])
+    def test_labels_must_be_plus_or_minus_one(self, y):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(DataError, match="labels"):
+            train_stump(X, np.array(y), uniform_weights(4))
 
     def test_model_without_stumps_rejected(self):
         with pytest.raises(DataError):

@@ -707,6 +707,17 @@ def test_reports_identical_across_processes(tmp_path):
         assert texts[0] == texts[1]
 
 
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """Only the iPPG filter needs scipy.signal, so it loads on the first
+    filter design, not with every sparksel process."""
+    src = os.path.dirname(os.path.dirname(sparksel.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sparksel.cli; print('scipy.signal' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 class TestCompare:
     def make_reports(self, tmp_path):
         cfg = write_config(tmp_path, QUICK)
