@@ -10,6 +10,8 @@ the lowest feature index, then the lowest threshold, then polarity +1.
 whole train table and slices it per fit.  ``train`` then builds one
 scan state per fit from that order and the labels: a flat gather index
 into the stacked class weights, the class mask and the round buffers.
+The scan state checks every input of a fit, so ``train`` and
+``train_stump`` share one copy of each rule, with or without a view.
 Each round is one gather and one cumulative sum of the class weights,
 both polarities' errors in two calls, and a first-minimum search: the
 lower of the two polarity errors per (feature, split position), with
@@ -82,16 +84,6 @@ def hard_labels(margins):
     return np.where(margins >= 0.0, 1, 0).astype(np.int64)
 
 
-def _matrix(X):
-    """X as a non-empty, finite float64 matrix, else DataError."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise DataError("X must be a non-empty 2-D matrix")
-    if not np.isfinite(X).all():
-        raise DataError("X must hold finite values only")
-    return X
-
-
 def presort(X):
     """The weight-independent part of the stump scan.
 
@@ -116,14 +108,28 @@ def presort(X):
 
 
 class _Scan:
-    """The stump scan's per-fit state: the view's thresholds and tie
-    mask, the (2d, n - 1) flat gather index of the k lowest rows of each
-    feature into the stacked (positive, negative) class weights, the
-    (2, n) class mask, and the cumulative (2d, n) and error (2, d, n)
-    buffers every round reuses.  The cumulative buffer's split position
-    0 stays zero."""
+    """The stump scan's per-fit state.  It checks that X is a finite,
+    non-empty matrix, that a passed view has X's shape (else X is
+    presorted here) and that y holds one -1 or +1 label per row.  It
+    holds the view's thresholds and tie mask, the (2d, n - 1) flat
+    gather index of the k lowest rows of each feature into the stacked
+    (positive, negative) class weights, the (2, n) class mask, and the
+    cumulative (2d, n) and error (2, d, n) buffers every round reuses.
+    The cumulative buffer's split position 0 stays zero."""
 
-    def __init__(self, view, y):
+    def __init__(self, X, y, view=None):
+        self.X = X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or 0 in X.shape:
+            raise DataError("X must be a non-empty 2-D matrix")
+        if not np.isfinite(X).all():
+            raise DataError("X must hold finite values only")
+        if view is None:
+            view = presort(X)
+        elif len(view) != 3 or any(np.shape(a) != X.shape[::-1] for a in view):
+            raise DataError("presorted view does not match X's %d x %d shape" % X.shape)
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != X.shape[:1] or not ((y == 1.0) | (y == -1.0)).all():
+            raise DataError("labels must be -1 or +1, one per row of X")
         order, self.tied, self.thresholds = view
         d, n = order.shape
         below = order[:, :-1]
@@ -134,9 +140,12 @@ class _Scan:
 
     def __call__(self, w):
         """(feature, threshold, polarity, error) of the best stump under
-        weights ``w``, with the tie-break of ``train_stump``."""
-        if not abs(w.sum() - 1.0) <= 1e-9 or (w < 0).any():  # NaN and inf fail too
-            raise DataError("weights must be finite, non-negative and sum to 1")
+        weights ``w``, with the tie-break of ``train_stump``; ``w`` is
+        checked on every call."""
+        w = np.asarray(w, dtype=np.float64)
+        # the exact comparison fails on NaN and inf too
+        if w.shape != self.cls.shape[1:] or not abs(w.sum() - 1.0) <= 1e-9 or (w < 0).any():
+            raise DataError("weights must be finite, non-negative, one per row and sum to 1")
         W = np.where(self.cls, w, 0.0)
         total = np.add.reduce(W, axis=1)
         # cum[c, j, k]: class c's weight of the k lowest rows of feature j
@@ -178,19 +187,11 @@ def train_stump(X, y, w, view=None):
     w : ndarray, shape (n,)
         Finite, non-negative sample weights summing to 1 within 1e-9.
     view : tuple, optional
-        ``presort(X)``; with it the scan never sorts.  Without it, X and
-        the lengths of y and w are validated and X is presorted.
+        ``presort(X)``, whose arrays must be shaped (d, n); with it the
+        scan never sorts, without it X is presorted here.  Every input
+        is checked either way: the scan's checks are ``train``'s.
     """
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if view is None:
-        X = _matrix(X)
-        if y.shape != (X.shape[0],) or w.shape != (X.shape[0],):
-            raise DataError("y and w must be vectors of length %d" % X.shape[0])
-        view = presort(X)
-    if not ((y == 1.0) | (y == -1.0)).all():
-        raise DataError("labels must be -1 or +1")
-    j, threshold, polarity, err = _Scan(view, y)(w)
+    j, threshold, polarity, err = _Scan(X, y, view)(w)
     return Stump(j, threshold, polarity, 0.0), err
 
 
@@ -207,28 +208,26 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
     exponential loss bound prod 2*sqrt(eps*(1-eps))), and "train_error".
     ``view`` is ``presort(X)`` when the caller has it; else X is presorted here.
 
-    The scan's set-up (gather index, class mask, buffers) is built once
-    per fit; each round reruns only its weight-dependent steps, so every
-    round chooses the stump ``train_stump(X, y, w, view)`` would.
+    The scan state, built once per fit, checks X, the view and the labels
+    as ``train_stump`` does and holds the set-up (gather index, class
+    mask, buffers); each round reruns only its weight-dependent steps,
+    so every round chooses the stump ``train_stump(X, y, w, view)`` would.
     """
-    X = _matrix(X)
-    view = presort(X) if view is None else view
-    if len(view) != 3 or any(np.shape(a) != X.shape[::-1] for a in view):
-        raise DataError("presorted view does not match X's %d x %d shape" % X.shape)
     labels = np.asarray(labels)
-    if labels.shape != (X.shape[0],) or not is_binary(labels):
-        raise DataError("labels must be a 0/1 vector matching X rows")
+    if not is_binary(labels):
+        raise DataError("labels must be 0 or 1")
     if not ((labels == 0).any() and (labels == 1).any()):
         raise DataError("single-class training labels")
     if rounds < 1:
         raise DataError("rounds must be >= 1")
+    y = 2.0 * labels - 1.0
+    scan = _Scan(X, y, view)
+    X = scan.X
     if history is not None:
         history.update(epsilon=[], weight_sum=[], bound=[], train_error=[])
 
-    y = 2.0 * labels - 1.0
     n = X.shape[0]
     w = np.full(n, 1.0 / n)
-    scan = _Scan(view, y)
     stumps = []
     margin = np.zeros(n)
     bound = 1.0

@@ -121,36 +121,34 @@ def _validate(key, value):
     check_value(key, spec.kind, spec.check, value)
 
 
+def _bool(text):
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+# each base kind's parser; a "<base>_list" value is comma-separated
+_PARSERS = {"int": int, "float": float, "bool": _bool, "str": str}
+
+
 def parse_value(key: str, text: str):
     """Typed value of ``text`` for registry ``key``, not yet range
     checked; ConfigError if it does not parse as the key's kind."""
-    spec = REGISTRY[key]
+    kind = REGISTRY[key].kind
+    base, is_list, _ = kind.partition("_list")
+    parse = _PARSERS[base]
     try:
-        if spec.kind == "int":
-            return int(text)
-        if spec.kind == "float":
-            return float(text)
-        if spec.kind == "bool":
-            if text == "true":
-                return True
-            if text == "false":
-                return False
-            raise ValueError("expected true or false")
-        if spec.kind == "str":
-            return text
-        if spec.kind == "int_list":
-            return [int(p.strip()) for p in text.split(",")] if text else []
-        if spec.kind == "str_list":
-            return [p.strip() for p in text.split(",")] if text else []
+        if is_list:
+            return [parse(p.strip()) for p in text.split(",")] if text else []
+        return parse(text)
     except ValueError as exc:
-        raise ConfigError("%s: bad %s value %r (%s)" % (key, spec.kind, text, exc)) from None
-    raise ConfigError("%s: unhandled kind %s" % (key, spec.kind))
+        raise ConfigError("%s: bad %s value %r (%s)" % (key, kind, text, exc)) from None
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a config file; every registry key gets its
     default unless the file assigns it."""
-    values = {k: s.default for k, s in REGISTRY.items()}
+    values = default_config().values
     seen = set()
     try:
         with open(path, encoding="utf-8") as fh:

@@ -123,11 +123,19 @@ def build_signal(frames: FrameSequence, roi_tag: str) -> IppgSignal:
     return IppgSignal(samples=samples, fps=frames.fps, roi_tag=roi_tag)
 
 
-def _check_fps(fps) -> float:
+def _series(series, fps, min_len: int):
+    """``(x, fps)``: the series as a contiguous float64 1-D series or 2-D
+    (rows, T) stack with at least ``min_len`` samples per row, all
+    finite, and fps as a finite float > 0; DataError otherwise."""
     fps = float(fps)
     if not (math.isfinite(fps) and fps > 0.0):
         raise DataError("fps must be finite and > 0, got %g" % fps)
-    return fps
+    x = np.ascontiguousarray(series, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] < min_len:
+        raise DataError("series must be 1-D or 2-D with last axis length >= %d" % min_len)
+    if not np.isfinite(x).all():
+        raise DataError("series holds NaN or inf")
+    return x, fps
 
 
 @functools.lru_cache(maxsize=64)
@@ -154,11 +162,6 @@ def _design(band: BandSpec, fps: float):
     return sos, zi
 
 
-def _check_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        raise DataError("series holds NaN or inf")
-
-
 def bandpass(series, band: BandSpec, fps: float) -> np.ndarray:
     """Zero-phase band-pass: 3rd-order Butterworth applied forward and
     backward along the last axis of a 1-D series or a 2-D (rows, T)
@@ -171,11 +174,7 @@ def bandpass(series, band: BandSpec, fps: float) -> np.ndarray:
     per (band, fps) instead of being solved again on every call."""
     from scipy.signal import sosfilt
 
-    fps = _check_fps(fps)
-    x = np.ascontiguousarray(series, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] < 9:
-        raise DataError("series must be 1-D or 2-D with last axis length >= 9")
-    _check_finite(x)
+    x, fps = _series(series, fps, 9)
     sos, zi = _design(band, fps)
     zi = zi.reshape(zi.shape[:1] + (1,) * (x.ndim - 1) + zi.shape[1:])
     n = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
@@ -233,11 +232,7 @@ def spectrum(series, fps: float, band: BandSpec) -> SpectrumResult:
     stack; each row comes out bit-equal to a 1-D call on it.  Needs at
     least 64 samples.  The window and the in-band bin indices come from
     caches per length and per (nfft, fps, band)."""
-    _check_fps(fps)
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] < 64:
-        raise DataError("series must be 1-D or 2-D with last axis length >= 64")
-    _check_finite(x)
+    x, fps = _series(series, fps, 64)
     nfft = _next_pow2(x.shape[-1])
     mags = np.abs(np.fft.rfft(x * _hann(x.shape[-1]), n=nfft, axis=-1))
     freqs = np.arange(mags.shape[-1]) * (fps / nfft)

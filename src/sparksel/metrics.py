@@ -8,7 +8,7 @@ when there are no negatives, F1 is 0 when 2*tp + fp + fn = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,15 +48,7 @@ class MetricSet:
 
     def to_dict(self) -> dict:
         """The six scores plus ``avg``, as a JSON-ready report record."""
-        return {
-            "auc": self.auc,
-            "acc": self.acc,
-            "pre": self.pre,
-            "sen": self.sen,
-            "f1": self.f1,
-            "spe": self.spe,
-            "avg": self.avg(),
-        }
+        return dict(asdict(self), avg=self.avg())
 
 
 def confusion(y_true, y_pred) -> ConfusionCounts:

@@ -1,14 +1,17 @@
-"""The benchmark's iPPG workload runs on the package as it stands: it
-calls ``extract_features``, ``build_signal(...).samples``, 1-D
-``bandpass`` and ``spectrum`` and ``pca.fit``, and writes its result
-figures as JSON, so a change to those names or return types shows here
-before it shows as a failed benchmark run."""
+"""The benchmark's workloads run on the package as it stands.  The
+iPPG workload calls ``extract_features``, ``build_signal(...).samples``,
+1-D ``bandpass`` and ``spectrum`` and ``pca.fit``, and writes its result
+figures as JSON.  The ``select`` workload writes a config with
+``threads = 1``, runs ``sparksel select`` in-process and reads
+``evaluations``, ``min_popcount`` and ``importance`` from the report.  A
+change to those names, keys or return types shows here before it shows
+as a failed benchmark run."""
 
 import importlib
 import json
 from pathlib import Path
 
-from sparksel import ippg, pca
+from sparksel import cli, data, ippg, pca
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,4 +24,14 @@ def test_ippg_pca_operation_passes_its_checks(tmp_path, monkeypatch):
     outcome = workload.run(mods, workload.setup(mods, 0, str(tmp_path)))
     assert outcome.failures == []
     assert outcome.work == workload.pairs
+    json.dumps(outcome.info)
+
+
+def test_select_operation_passes_its_checks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS["select"]
+    mods = {"cli": cli, "data": data}
+    outcome = workload.run(mods, workload.setup(mods, 0, str(tmp_path)))
+    assert outcome.failures == []
+    assert outcome.work > 0
     json.dumps(outcome.info)

@@ -404,6 +404,20 @@ class TestBadInputs:
         with pytest.raises(DataError, match="labels"):
             train_stump(X, np.array(y), uniform_weights(4))
 
+    @pytest.mark.parametrize("bad", [
+        lambda X, y, w: (X, y[:3], uniform_weights(3), boosting.presort(X)),
+        lambda X, y, w: (X, y, w, boosting.presort(np.hstack((X, X[:, :1])))),
+        lambda X, y, w: (X, y, w, boosting.presort(X[:4] + 10.0)),
+        lambda X, y, w: (np.where(X == 3.0, np.nan, X), y, w, boosting.presort(X)),
+        lambda X, y, w: (X, y, w[:, None], boosting.presort(X)),
+    ], ids=["short_y_and_w", "other_columns", "other_rows", "nan_X", "column_weights"])
+    def test_view_path_checks_inputs(self, bad):
+        """A presorted view skips the sort, not the checks of X, y and w."""
+        X = np.arange(12, dtype=np.float64).reshape(6, 2)
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(DataError):
+            train_stump(*bad(X, y, uniform_weights(6)))
+
     def test_model_without_stumps_rejected(self):
         with pytest.raises(DataError):
             AdaBoostModel(stumps=()).margins(np.zeros((2, 1)))
