@@ -6,12 +6,13 @@ plus the midpoints between consecutive distinct values, so constant
 predictions are always reachable.  Ties in weighted error resolve to
 the lowest feature index, then the lowest threshold, then polarity +1.
 
-``presort`` sorts every column once: ``selection`` presorts a run's
-whole train table and slices it per fit.  ``train`` then builds one
-scan state per fit from that order and the labels: a flat gather index
-into the stacked class weights, the class mask and the round buffers.
-The scan state checks every input of a fit, so ``train`` and
-``train_stump`` share one copy of each rule, with or without a view.
+``presort`` gives the view, each column's row order: ``selection``
+presorts a run's whole train table once and slices its rows per fit.
+``train`` then builds one scan state per fit from X, that order and the
+labels: X's sorted values and ties, whence each round's threshold (so a
+view cannot disagree with X), a flat gather index into the stacked class
+weights, the class mask and the round buffers.  The scan state checks every input
+of a fit, so ``train`` and ``train_stump`` share one copy of each rule.
 Each round is one gather and one cumulative sum of the class weights,
 both polarities' errors in two calls, and a first-minimum search: the
 lower of the two polarity errors per (feature, split position), with
@@ -85,37 +86,24 @@ def hard_labels(margins):
 
 
 def presort(X):
-    """The weight-independent part of the stump scan.
-
-    Returns ``(order, tied, thresholds)``, each shaped (d, n) with one
-    row per feature: the stable row order by value, whether split
-    position k (k rows fall below the threshold) is no split because
-    sorted values k-1 and k are equal, and the candidate threshold at k
-    (one below the minimum at k = 0, else the midpoint of sorted values
-    k-1 and k).  ``X`` must already be a finite 2-D matrix.  Row j
-    depends on column j alone, so ``presort(X[:, cols])`` equals
-    ``tuple(a[cols] for a in presort(X))``.
-    """
-    cols = np.asarray(X, dtype=np.float64).T
-    order = np.argsort(cols, axis=1, kind="stable")
-    v = np.take_along_axis(cols, order, axis=1)
-    tied = np.zeros(order.shape, dtype=bool)
-    tied[:, 1:] = v[:, 1:] == v[:, :-1]
-    thresholds = np.empty(order.shape)
-    thresholds[:, 0] = v[:, 0] - 1.0
-    thresholds[:, 1:] = 0.5 * (v[:, :-1] + v[:, 1:])
-    return order, tied, thresholds
+    """The view: X's row indices by ascending value, ties in row order,
+    one row per column, shaped (d, n).  Row j depends on column j alone,
+    so ``presort(X[:, cols])`` equals ``presort(X)[cols]``."""
+    return np.argsort(np.asarray(X, dtype=np.float64).T, axis=1, kind="stable")
 
 
 class _Scan:
     """The stump scan's per-fit state.  It checks that X is a finite,
-    non-empty matrix, that a passed view has X's shape (else X is
-    presorted here) and that y holds one -1 or +1 label per row.  It
-    holds the view's thresholds and tie mask, the (2d, n - 1) flat
-    gather index of the k lowest rows of each feature into the stacked
-    (positive, negative) class weights, the (2, n) class mask, and the
-    cumulative (2d, n) and error (2, d, n) buffers every round reuses.
-    The cumulative buffer's split position 0 stays zero."""
+    non-empty matrix, that the view (``presort(X)`` when none is passed)
+    has X's transposed shape and orders X's columns, and that y holds
+    one -1 or +1 label per row.  It holds X's sorted values (d, n),
+    the tie mask (split position k, with k rows below the threshold, is
+    no split when sorted values k-1 and k are equal), the (2d, n - 1)
+    flat gather index of the k lowest rows of each feature into the
+    stacked (positive, negative) class weights, the (2, n) class mask,
+    and the cumulative (2d, n) and error (2, d, n) buffers every round
+    reuses.  A round's threshold is one below the minimum at k = 0, else
+    the midpoint of sorted values k-1 and k."""
 
     def __init__(self, X, y, view=None):
         self.X = X = np.asarray(X, dtype=np.float64)
@@ -123,19 +111,25 @@ class _Scan:
             raise DataError("X must be a non-empty 2-D matrix")
         if not np.isfinite(X).all():
             raise DataError("X must hold finite values only")
-        if view is None:
-            view = presort(X)
-        elif len(view) != 3 or any(np.shape(a) != X.shape[::-1] for a in view):
+        n, d = X.shape
+        order = presort(X) if view is None else view
+        if np.shape(order) != (d, n):
             raise DataError("presorted view does not match X's %d x %d shape" % X.shape)
+        # X's values in view order: one flat gather, like each round's
+        v = X.T.take(order + n * np.arange(d)[:, None])
+        lo, hi = v[:, :-1], v[:, 1:]
+        if (hi < lo).any():
+            raise DataError("presorted view does not order X's columns")
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != X.shape[:1] or not ((y == 1.0) | (y == -1.0)).all():
+        if y.shape != (n,) or not ((y == 1.0) | (y == -1.0)).all():
             raise DataError("labels must be -1 or +1, one per row of X")
-        order, self.tied, self.thresholds = view
-        d, n = order.shape
+        self.sorted = v
+        self.tied = np.zeros((d, n), dtype=bool)
+        self.tied[:, 1:] = hi == lo
         below = order[:, :-1]
         self.index = np.concatenate((below, below + n))
         self.cls = np.array([y > 0, y < 0])
-        self.cum = np.zeros((2 * d, n))
+        self.cum = np.zeros((2 * d, n))  # split position 0 stays zero
         self.errs = np.empty((2, d, n))
 
     def __call__(self, w):
@@ -161,7 +155,9 @@ class _Scan:
         # the first minimum in (feature, split position) order
         j, k = divmod(int(low.argmin()), low.shape[1])
         polarity = 1 if plus[j, k] == low[j, k] else -1
-        return j, float(self.thresholds[j, k]), polarity, float(low[j, k])
+        v = self.sorted[j]
+        threshold = v[0] - 1.0 if k == 0 else 0.5 * (v[k - 1] + v[k])
+        return j, float(threshold), polarity, float(low[j, k])
 
 
 def train_stump(X, y, w, view=None):
@@ -186,10 +182,10 @@ def train_stump(X, y, w, view=None):
         Labels in {-1, +1}.
     w : ndarray, shape (n,)
         Finite, non-negative sample weights summing to 1 within 1e-9.
-    view : tuple, optional
-        ``presort(X)``, whose arrays must be shaped (d, n); with it the
-        scan never sorts, without it X is presorted here.  Every input
-        is checked either way: the scan's checks are ``train``'s.
+    view : ndarray, shape (d, n), optional
+        ``presort(X)``, the row order of each column, which must order X;
+        with it the scan never sorts.  Every input is checked either way:
+        the scan's checks are ``train``'s.
     """
     j, threshold, polarity, err = _Scan(X, y, view)(w)
     return Stump(j, threshold, polarity, 0.0), err
@@ -206,12 +202,13 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
     Passing a dict as ``history`` fills it with per-round diagnostics:
     "epsilon", "weight_sum" (after the update), "bound" (the running
     exponential loss bound prod 2*sqrt(eps*(1-eps))), and "train_error".
-    ``view`` is ``presort(X)`` when the caller has it; else X is presorted here.
+    ``view`` is the row order ``presort(X)`` if the caller has it; else X is presorted.
 
     The scan state, built once per fit, checks X, the view and the labels
-    as ``train_stump`` does and holds the set-up (gather index, class
-    mask, buffers); each round reruns only its weight-dependent steps,
-    so every round chooses the stump ``train_stump(X, y, w, view)`` would.
+    as ``train_stump`` does and holds the set-up (sorted values, ties,
+    gather index, class mask, buffers); each round reruns only its
+    weight-dependent steps, so every round chooses the stump
+    ``train_stump(X, y, w, view)`` would.
     """
     labels = np.asarray(labels)
     if not is_binary(labels):
@@ -248,7 +245,7 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
             history["epsilon"].append(err)
             history["weight_sum"].append(float(w.sum()))
             history["bound"].append(bound)
-            history["train_error"].append(float(np.mean(np.where(margin >= 0, 1, -1) != y)))
+            history["train_error"].append(float(np.mean(hard_labels(margin) != labels)))
         if stop:
             break
     return AdaBoostModel(stumps=tuple(stumps))

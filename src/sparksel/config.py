@@ -146,12 +146,12 @@ def parse_value(key: str, text: str):
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read and validate a config file; every registry key gets its
-    default unless the file assigns it."""
+    """Read and validate a UTF-8 config file (a leading byte-order mark is
+    skipped); every registry key gets its default unless the file assigns it."""
     values = default_config().values
     seen = set()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError("cannot read %s: %s" % (path, exc)) from exc

@@ -82,7 +82,7 @@ def _csv_records(path):
     file cannot be opened or read (not UTF-8, a NUL in the path, a field
     over the csv module's size limit)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield from csv.reader(fh)
     except (OSError, ValueError, csv.Error) as exc:
         raise DataError("cannot read %s: %s" % (path, exc)) from exc
@@ -91,10 +91,11 @@ def _csv_records(path):
 def load_csv(path) -> Dataset:
     """Read a labeled dataset from a CSV file.
 
-    The file must be UTF-8, comma separated, with a header row.  Exactly
-    one column must be named ``label`` and hold 0/1 values; every other
-    column (at least one) is a numeric feature.  Errors name the offending data row
-    (1-based, header excluded) and column.
+    The file must be UTF-8 (a leading byte-order mark is skipped), comma
+    separated, with a header row.  Exactly one column must be named
+    ``label`` and hold 0/1 values; every other column (at least one) is a
+    numeric feature.  Errors name the offending data row (1-based, header
+    excluded) and column.
 
     Parameters
     ----------

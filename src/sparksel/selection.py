@@ -5,7 +5,7 @@ A continuous position in [0,1]^d discretizes at 0.5 into a 0/1 mask
 the mask keeps at least lambda = ceil(lambda_fraction * d) features,
 and the objective is the negated sum of six test-set metrics of an
 AdaBoost model trained on the masked columns.  A run presorts its train
-table once (``boosting.presort``) and each fit slices that view.  It
+table once (``boosting.presort``) and each fit slices that row order.  It
 remembers the loss of each repaired mask it has trained (a plain dict
 of floats keyed by the packed mask bits), so a repeated mask costs no
 training; the swarm's budget, the importance counters and the popcount
@@ -122,8 +122,8 @@ def repair(mask, lam: int, rng) -> np.ndarray:
 def fit_mask(mask, split: SplitPair, cfg: SelectionConfig, holdout: Dataset | None = None,
              view=None):
     """Train on the masked train columns and score the test side and
-    the ``holdout``: (loss, test metrics, holdout metrics).  ``view`` is
-    ``boosting.presort(split.train.features)``, or None to sort per fit."""
+    the ``holdout``: (loss, test metrics, holdout metrics).  ``view`` is the
+    row order ``boosting.presort(split.train.features)``, or None to sort per fit."""
     cols = np.flatnonzero(mask)
     if cols.size == 0:
         raise InvariantError("mask selects zero columns")
@@ -131,7 +131,7 @@ def fit_mask(mask, split: SplitPair, cfg: SelectionConfig, holdout: Dataset | No
         split.train.features[:, cols],
         split.train.labels,
         rounds=cfg.classifier_rounds,
-        view=None if view is None else tuple(a[cols] for a in view),
+        view=None if view is None else view[cols],
     )
     mset = _score(model, split.test, cols)
     held = None if holdout is None else _score(model, holdout, cols)

@@ -277,7 +277,7 @@ class TestFullTableView:
             if cols.size == 0:
                 cols = np.array([trial % 12])
             full = boosting.presort(X)
-            got = train(X[:, cols], labels, 15, view=tuple(a[cols] for a in full))
+            got = train(X[:, cols], labels, 15, view=full[cols])
             assert bits(got) == bits(train(X[:, cols], labels, 15)), trial
 
     def test_wide_tied_train_is_frozen(self):
@@ -417,6 +417,27 @@ class TestBadInputs:
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         with pytest.raises(DataError):
             train_stump(*bad(X, y, uniform_weights(6)))
+
+    def test_view_of_a_shifted_table_gives_X_own_stump(self):
+        """A view carries only the row order, so a view of X + 100 (same
+        order) cannot lend that table's thresholds to X's stump."""
+        X = np.arange(12, dtype=np.float64).reshape(6, 2)
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        w = uniform_weights(6)
+        got = train_stump(X, y, w, boosting.presort(X + 100.0))
+        assert got == train_stump(X, y, w)
+        assert got[0].threshold == 9.0
+
+    @pytest.mark.parametrize("view", [
+        lambda X: boosting.presort(-X),
+        lambda X: boosting.presort(X)[:, ::-1],
+    ], ids=["negated_table", "reversed_rows"])
+    def test_view_must_order_X(self, view):
+        X = np.arange(12, dtype=np.float64).reshape(6, 2)
+        with pytest.raises(DataError, match="presorted view"):
+            train_stump(X, np.array([1.0, -1.0] * 3), uniform_weights(6), view(X))
+        with pytest.raises(DataError, match="presorted view"):
+            train(X, np.array([1, 0] * 3), 3, view=view(X))
 
     def test_model_without_stumps_rejected(self):
         with pytest.raises(DataError):

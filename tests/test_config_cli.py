@@ -68,6 +68,13 @@ class TestConfigParsing:
         assert cfg.get("bench.algorithms") == ["ifa", "pso"]
         assert cfg.get("compare.others") == []
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("seeds = 3,4\nswarm.r_max = 0.25\n", encoding="utf-8-sig")
+        cfg = parse_config(path)
+        assert cfg.get("seeds") == [3, 4]
+        assert cfg.get("swarm.r_max") == 0.25
+
     def test_unknown_key_names_location(self, tmp_path):
         path = write_config(tmp_path, "seeds = 1\nswarm.colour = red\n")
         with pytest.raises(ConfigError) as err:

@@ -70,6 +70,19 @@ class TestCsv:
         # 17 significant digits reproduce float64 bit patterns
         assert np.array_equal(back.features, ds.features)
 
+    @pytest.mark.parametrize("text", ["label,a,b\n0,1.5,2\n1,3,4\n",
+                                      "a,label,b\n1.5,0,2\n3,1,4\n"],
+                             ids=["label_first", "feature_first"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        """Spreadsheet "CSV UTF-8" exports start with a byte-order mark."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        want, got = load_csv(plain), load_csv(marked)
+        assert got.feature_names == want.feature_names
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+
     def test_missing_field_names_data_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,label\n1,2,0\n3,4,1\n5,1\n6,7,0\n")
