@@ -95,15 +95,16 @@ def presort(X):
 class _Scan:
     """The stump scan's per-fit state.  It checks that X is a finite,
     non-empty matrix, that the view (``presort(X)`` when none is passed)
-    has X's transposed shape and orders X's columns, and that y holds
-    one -1 or +1 label per row.  It holds X's sorted values (d, n),
-    the tie mask (split position k, with k rows below the threshold, is
-    no split when sorted values k-1 and k are equal), the (2d, n - 1)
-    flat gather index of the k lowest rows of each feature into the
-    stacked (positive, negative) class weights, the (2, n) class mask,
-    and the cumulative (2d, n) and error (2, d, n) buffers every round
-    reuses.  A round's threshold is one below the minimum at k = 0, else
-    the midpoint of sorted values k-1 and k."""
+    has X's transposed shape, holds a permutation of 0..n-1 in each row
+    and orders X's columns, and that y holds one -1 or +1 label per row.
+    It holds X's sorted values (d, n), the tie mask (split position k,
+    with k rows below the threshold, is no split when sorted values k-1
+    and k are equal), the (2d, n - 1) flat gather index of the k lowest
+    rows of each feature into the stacked (positive, negative) class
+    weights, the (2, n) class mask, and the cumulative (2d, n) and error
+    (2, d, n) buffers every round reuses.  A round's threshold is one
+    below the minimum at k = 0, else the midpoint of sorted values k-1
+    and k."""
 
     def __init__(self, X, y, view=None):
         self.X = X = np.asarray(X, dtype=np.float64)
@@ -112,11 +113,20 @@ class _Scan:
         if not np.isfinite(X).all():
             raise DataError("X must hold finite values only")
         n, d = X.shape
-        order = presort(X) if view is None else view
-        if np.shape(order) != (d, n):
+        order = presort(X) if view is None else np.asarray(view)
+        if order.shape != (d, n):
             raise DataError("presorted view does not match X's %d x %d shape" % X.shape)
+        rows = n * np.arange(d)[:, None]  # each feature's offset in X.T's flat order
+        if view is not None:
+            # with integers in [0, n), hitting every cell makes each row a permutation
+            hit = np.zeros(d * n, dtype=bool)
+            if order.dtype.kind in "iu" and order.min() >= 0 and order.max() < n:
+                hit[order + rows] = True
+            if not hit.all():
+                raise DataError("presorted view rows must be permutations of 0..%d" % (n - 1))
+            order = order.astype(np.intp, copy=False)  # a narrow dtype would wrap below + n
         # X's values in view order: one flat gather, like each round's
-        v = X.T.take(order + n * np.arange(d)[:, None])
+        v = X.T.take(order + rows)
         lo, hi = v[:, :-1], v[:, 1:]
         if (hi < lo).any():
             raise DataError("presorted view does not order X's columns")
@@ -183,9 +193,10 @@ def train_stump(X, y, w, view=None):
     w : ndarray, shape (n,)
         Finite, non-negative sample weights summing to 1 within 1e-9.
     view : ndarray, shape (d, n), optional
-        ``presort(X)``, the row order of each column, which must order X;
-        with it the scan never sorts.  Every input is checked either way:
-        the scan's checks are ``train``'s.
+        ``presort(X)``, the row order of each column: each row an integer
+        permutation of 0..n-1 that orders X; with it the scan never
+        sorts.  Every input is checked either way: the scan's checks are
+        ``train``'s.
     """
     j, threshold, polarity, err = _Scan(X, y, view)(w)
     return Stump(j, threshold, polarity, 0.0), err

@@ -278,7 +278,7 @@ def _synth(args, cfg: ExperimentConfig, seeds, out_dir):
 
 def _ippg_entry(fore, nose, seed, injected):
     vec, (hr, rr) = ippg._features_and_peaks(fore, nose)
-    schema = ippg.feature_schema(fore.fps, fore.n_frames, nose.n_frames)
+    schema = ippg.feature_schema(fore.fps, fore.n_frames)
     if len(schema) != vec.size:
         raise InvariantError(
             "feature schema names %d positions, vector has %d"

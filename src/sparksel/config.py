@@ -12,7 +12,6 @@ defaults filled.  Keys that set a dataclass field (``data.SynthSpec``,
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
 
 from .data import SynthSpec
@@ -20,8 +19,6 @@ from .errors import ConfigError, at_least, between, check_value, choice
 from .ippg import PulseSpec
 from .selection import SelectionConfig
 from .swarm import ALGORITHMS, BENCHMARKS, SwarmConfig
-
-_KEY_RE = re.compile(r"^[a-z][a-z0-9_.]*$")
 
 
 @dataclass(frozen=True)
@@ -166,8 +163,6 @@ def parse_config(path) -> ExperimentConfig:
         key, _, rest = stripped.partition("=")
         key = key.strip()
         rest = rest.strip()
-        if not _KEY_RE.match(key):
-            raise ConfigError("%s line %d: malformed key %r" % (path, lineno, key))
         if key not in REGISTRY:
             raise ConfigError("%s line %d: unknown key '%s'" % (path, lineno, key))
         if key in seen:

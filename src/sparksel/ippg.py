@@ -11,9 +11,9 @@ matrix product per block of frames, each (band, fps) filter design and
 its initial state are computed once per process, and so are each Hann
 window (per length) and in-band bin index array (per nfft, fps and
 band).  The filter and the spectrum work along the last axis, so a
-capture pair whose ROIs have the same length makes one filter call and
-one spectrum call per band over both ROIs' channel rows; a mixed-length
-pair makes them once per ROI.
+capture pair makes one filter call and one spectrum call per band over
+both ROIs' channel rows.  The two ROIs are regions of one capture: a
+pair must share its fps and its frame count.
 
 Frame sequences round-trip through a small binary container: a
 16-byte little-endian header (magic "IPPG", u32 frame count, u16
@@ -251,7 +251,8 @@ def spectrum(series, fps: float, band: BandSpec) -> SpectrumResult:
 
 
 def extract_features(fore: FrameSequence, nose: FrameSequence) -> np.ndarray:
-    """Flat feature vector over both ROIs.
+    """Flat feature vector over both ROIs of one capture, which must
+    share fps and frame count (DataError otherwise).
 
     Layout, outer to inner: ROI (fore, nose) -> channel (r, g, b) ->
     band (hr, rr) with five time-domain statistics of the band-passed
@@ -267,45 +268,33 @@ def _features_and_peaks(fore: FrameSequence, nose: FrameSequence):
     spectral peak in Hz per band (BANDS order), read off the filtered
     rows and spectra the vector is built from.
 
-    Both ROIs' channel rows go through each ``bandpass`` and
-    ``spectrum`` call together when their lengths match; every row
-    comes out bit-equal to a call of its own, so the vector does not
-    depend on the grouping."""
+    The pair must share fps and frame count; DataError otherwise.  Both
+    ROIs' channel rows go through each ``bandpass`` and ``spectrum``
+    call together; every row comes out bit-equal to a call of its own."""
     if fore.fps != nose.fps:
         raise DataError("fore fps %d != nose fps %d" % (fore.fps, nose.fps))
-    signals = [build_signal(seq, tag).samples for seq, tag in zip((fore, nose), ROI_TAGS)]
-    c = len(CHANNELS)
-    parts = [None] * len(signals)
-    # ROIs of one length share every call as one (channel rows, band, T)
-    # array; a mixed-length pair runs the loop once per length
-    for length in dict.fromkeys(s.shape[-1] for s in signals):
-        rois = [i for i, s in enumerate(signals) if s.shape[-1] == length]
-        x = np.concatenate([signals[i] for i in rois])
-        td = np.stack([bandpass(x, band, fore.fps) for _, band in BANDS], axis=1)
-        stats = np.stack(
-            [td.mean(-1), td.std(-1), td.min(-1), td.max(-1), np.median(td, -1)], axis=-1
-        )
-        specs = [spectrum(td[:, b], fore.fps, band) for b, (_, band) in enumerate(BANDS)]
-        rows = [stats.reshape(len(x), -1)] + [s.magnitudes for s in specs]
-        rows = np.concatenate(rows, axis=1)
-        for k, i in enumerate(rois):
-            parts[i] = rows[k * c : (k + 1) * c].ravel()
-        if rois[0] == 0:
-            peaks = tuple(s.peak_hz[CHANNELS.index("g")] for s in specs)
-    return np.concatenate(parts), peaks
+    if fore.n_frames != nose.n_frames:
+        raise DataError("fore frames %d != nose frames %d" % (fore.n_frames, nose.n_frames))
+    x = np.concatenate([build_signal(f, tag).samples for f, tag in zip((fore, nose), ROI_TAGS)])
+    td = np.stack([bandpass(x, band, fore.fps) for _, band in BANDS], axis=1)
+    stats = np.stack(
+        [td.mean(-1), td.std(-1), td.min(-1), td.max(-1), np.median(td, -1)], axis=-1
+    )
+    specs = [spectrum(td[:, b], fore.fps, band) for b, (_, band) in enumerate(BANDS)]
+    rows = np.concatenate([stats.reshape(len(x), -1)] + [s.magnitudes for s in specs], axis=1)
+    peaks = tuple(s.peak_hz[CHANNELS.index("g")] for s in specs)
+    return rows.ravel(), peaks
 
 
 @functools.lru_cache(maxsize=64)
-def feature_schema(fps: int, n_frames: int, nose_frames: int | None = None) -> tuple:
+def feature_schema(fps: int, n_frames: int) -> tuple:
     """Names for every position of ``extract_features`` output, given
-    capture rate and the fore and nose lengths (``nose_frames`` defaults
-    to ``n_frames``).  The count is closed-form: per ROI and channel, 5
-    statistics per band plus the in-band bin counts of that ROI's FFT."""
-    if nose_frames is None:
-        nose_frames = n_frames
+    capture rate and the frame count both ROIs share.  The count is
+    closed-form: per ROI and channel, 5 statistics per band plus the
+    in-band bin counts of the capture's FFT."""
+    nfft = _next_pow2(n_frames)
     names = []
-    for tag, frames in zip(ROI_TAGS, (n_frames, nose_frames)):
-        nfft = _next_pow2(frames)
+    for tag in ROI_TAGS:
         for ch in CHANNELS:
             for bname, _ in BANDS:
                 for stat in TD_STATS:

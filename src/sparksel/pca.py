@@ -44,7 +44,6 @@ class PCAModel:
     components: np.ndarray
     eigenvalues: np.ndarray
     k: int
-    variance_threshold: float
 
     @property
     def explained_ratio(self):
@@ -95,10 +94,4 @@ def fit(X, variance_threshold: float = 0.95) -> PCAModel:
         ratios = np.cumsum(vals) / total
         k = int(np.searchsorted(ratios, variance_threshold - 1e-12) + 1)
         k = min(k, vals.size)
-    return PCAModel(
-        mean=mean,
-        components=vecs,
-        eigenvalues=vals,
-        k=k,
-        variance_threshold=variance_threshold,
-    )
+    return PCAModel(mean=mean, components=vecs, eigenvalues=vals, k=k)

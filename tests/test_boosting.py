@@ -431,13 +431,38 @@ class TestBadInputs:
     @pytest.mark.parametrize("view", [
         lambda X: boosting.presort(-X),
         lambda X: boosting.presort(X)[:, ::-1],
-    ], ids=["negated_table", "reversed_rows"])
+        lambda X: np.zeros((2, 6), dtype=np.int64),
+        lambda X: boosting.presort(X).astype(np.float64),
+        lambda X: np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6]]),
+    ], ids=["negated_table", "reversed_rows", "zeros", "float_dtype", "index_n"])
     def test_view_must_order_X(self, view):
         X = np.arange(12, dtype=np.float64).reshape(6, 2)
         with pytest.raises(DataError, match="presorted view"):
             train_stump(X, np.array([1.0, -1.0] * 3), uniform_weights(6), view(X))
         with pytest.raises(DataError, match="presorted view"):
             train(X, np.array([1, 0] * 3), 3, view=view(X))
+
+    def test_view_rows_must_each_be_a_permutation(self):
+        """Row 0 = [0..n-2, n] with row 1 = [-1, 1..n-1] hits every flat
+        cell once and, on this X, gathers ascending values, but neither
+        row is a permutation of 0..n-1."""
+        X = np.arange(12, dtype=np.float64).reshape(2, 6).T
+        view = np.array([[0, 1, 2, 3, 4, 6], [-1, 1, 2, 3, 4, 5]])
+        with pytest.raises(DataError, match="presorted view"):
+            train_stump(X, np.array([1.0, -1.0] * 3), uniform_weights(6), view)
+        with pytest.raises(DataError, match="presorted view"):
+            train(X, np.array([1, 0] * 3), 3, view=view)
+
+    def test_narrow_integer_view_trains_the_same_model(self):
+        """A uint8 view of 200 rows is a valid row order; the scan's
+        gather index (row + n) must not wrap in that dtype."""
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((200, 3))
+        labels = (rng.random(200) < 0.5).astype(np.int64)
+        view = boosting.presort(X).astype(np.uint8)
+        y, w = 2.0 * labels - 1.0, uniform_weights(200)
+        assert train_stump(X, y, w, view) == train_stump(X, y, w)
+        assert train(X, labels, 5, view=view) == train(X, labels, 5)
 
     def test_model_without_stumps_rejected(self):
         with pytest.raises(DataError):

@@ -375,6 +375,20 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "bogus.key = 1\n")
         assert run_cli(["select", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ("Seeds = 1", "line 2: unknown key 'Seeds'"),
+        ("a b = 1", "line 2: unknown key 'a b'"),
+        ("seeds =", "seeds: must name at least one seed"),
+        ("seeds = -1", "seeds: seeds must be >= 0"),
+        ("ippg.emit_frames = yes", "ippg.emit_frames: bad bool value 'yes'"),
+    ])
+    def test_bad_line_exits_one_naming_the_key(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, "# comment\n%s\n" % line)
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "ippg.json").exists()
+
     def test_bad_seeds_flag(self, tmp_path):
         cfg = write_config(tmp_path, QUICK)
         assert run_cli(["select", "--config", cfg, "--seeds", "a,b"]) == 1
@@ -619,22 +633,32 @@ class TestOtherCommands:
         assert "hr_error_hz" not in run  # nothing injected to grade against
         assert doc["aggregate"] == {}
 
-    def test_ippg_mixed_length_pair_is_schema_checked(self, tmp_path, monkeypatch):
-        paths = []
-        for tag, seconds in (("fore", 8.0), ("nose", 4.0)):
-            seq = ippg.synth_pulse_frames(25, seconds, 2, 2, 1.2, 0.25, seed=len(paths))
-            paths.append(tmp_path / ("%s.ippg" % tag))
-            ippg.write_frames(seq, paths[-1])
-        cfg = write_config(
-            tmp_path, "ippg.fore_path = %s\nippg.nose_path = %s\n" % tuple(paths))
-        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 0
+    def test_ippg_mixed_length_pair_is_schema_checked(self, tmp_path, monkeypatch, capsys):
+        """A pair whose lengths differ is no capture (exit 2, both counts
+        named); on an equal-length pair the vector is checked against its
+        schema (exit 3 when the schema is one name short)."""
+        def pair_config(nose_seconds):
+            paths = []
+            for tag, seconds in (("fore", 8.0), ("nose", nose_seconds)):
+                seq = ippg.synth_pulse_frames(25, seconds, 2, 2, 1.2, 0.25, seed=len(paths))
+                paths.append(tmp_path / ("%s.ippg" % tag))
+                ippg.write_frames(seq, paths[-1])
+            return write_config(
+                tmp_path, "ippg.fore_path = %s\nippg.nose_path = %s\n" % tuple(paths))
+
+        args = ["ippg", "--config", pair_config(4.0), "--out", str(tmp_path)]
+        assert run_cli(args) == 2
+        assert "fore frames 200 != nose frames 100" in capsys.readouterr().err
+        assert not (tmp_path / "ippg.json").exists()
+        args = ["ippg", "--config", pair_config(8.0), "--out", str(tmp_path)]
+        assert run_cli(args) == 0
         run = load_report(tmp_path / "ippg.json")["runs"][0]
-        assert run["n_features"] == len(ippg.feature_schema(25, 200, 100))
-        # a schema that names both halves from the fore length must fail
-        one_length = ippg.feature_schema
-        monkeypatch.setattr(ippg, "feature_schema",
-                            lambda fps, n_frames, nose_frames=None: one_length(fps, n_frames))
-        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert run["n_features"] == len(ippg.feature_schema(25, 200))
+        full = ippg.feature_schema
+        monkeypatch.setattr(ippg, "feature_schema", lambda fps, n_frames: full(fps, n_frames)[:-1])
+        capsys.readouterr()
+        assert run_cli(args) == 3
+        assert "feature schema names" in capsys.readouterr().err
 
     def test_ippg_filters_each_roi_once(self, tmp_path, monkeypatch):
         """The HR/RR peaks come from the rows extract_features already
@@ -794,9 +818,10 @@ class TestCompare:
         '{"method_label": 5, "aggregate": {"median_avg": 0.7}}',
         '{"method_label": null, "aggregate": {"median_avg": 0.7}}',
         '{"command": ["select"], "aggregate": {"median_avg": 0.7}}',
+        '{"aggregate": {"median_f1": 0.7}}',
     ], ids=["list", "config_list", "aggregate_list", "avg_string", "avg_nan", "avg_inf",
             "avg_bool", "avg_huge_int", "avg_above_one", "avg_over_digit_limit",
-            "label_int", "label_null", "command_list"])
+            "label_int", "label_null", "command_list", "no_median_avg"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         good = tmp_path / "good.json"
         good.write_text('{"aggregate": {"median_avg": 0.7}}')

@@ -98,6 +98,17 @@ class TestCsv:
         assert "row 2" in str(err.value)
         assert "b" in str(err.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "file is empty"),
+        ("a,label\n", "no data rows"),
+        ("a,b,label\n1,2,0\n3,nan,1\n", "row 2, column 'b': non-finite value"),
+    ], ids=["empty", "header_only", "nan_cell"])
+    def test_file_without_usable_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path)
+
     def test_label_column_required_exactly_once(self, tmp_path):
         p1 = tmp_path / "none.csv"
         p1.write_text("a,b\n1,2\n")

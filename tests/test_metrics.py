@@ -132,6 +132,14 @@ class TestAuc:
         with pytest.raises(DataError):
             auc([0, 0], [0.1, 0.2])
 
+    @pytest.mark.parametrize("y, s, message", [
+        ([0, 1, 1], [0.1, 0.2], "equal-length"),
+        ([0, 1, 2], [0.1, 0.2, 0.3], "only 0 and 1"),
+    ], ids=["unequal_lengths", "label_two"])
+    def test_bad_inputs_rejected(self, y, s, message):
+        with pytest.raises(DataError, match=message):
+            auc(y, s)
+
     def test_scale_invariance(self):
         """Ranks only: any strictly monotone transform leaves AUC fixed."""
         rng = np.random.default_rng(3)
