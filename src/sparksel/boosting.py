@@ -10,15 +10,18 @@ the lowest feature index, then the lowest threshold, then polarity +1.
 presorts a run's whole train table once and slices its rows per fit.
 ``train`` then builds one scan state per fit from X, that order and the
 labels: X's sorted values and ties, whence each round's threshold (so a
-view cannot disagree with X), a flat gather index into the stacked class
-weights, the class mask and the round buffers.  The scan state checks every input
-of a fit, so ``train`` and ``train_stump`` share one copy of each rule.
-Each round is one gather and one cumulative sum of the class weights,
-both polarities' errors in two calls, and a first-minimum search: the
-lower of the two polarity errors per (feature, split position), with
-non-splits at +inf, whose first minimum in that order is the stump,
-polarity +1 if it reaches the minimum.  That is exactly the tie-break
-above.  ``train_stump`` runs one round of the same scan.
+view cannot disagree with X), a gather index into the class weights,
+the class mask and the round buffers.  The scan state checks X, the view
+and the labels for ``train`` and ``train_stump`` alike; ``train_stump``
+checks the weights, which only its callers supply.  Each row's positive-
+and negative-class weights are one complex number, so each round is one
+gather and one complex cumulative sum, whose real and imaginary parts
+are the two classes' left-to-right float sums, both polarities' errors,
+and a first-minimum search: the lower of the two polarity errors per
+(feature, split position), with non-splits at +inf, whose first minimum
+in that order is the stump, polarity +1 if it reaches the minimum.  That
+is exactly the tie-break above.  A round of ``train`` is that scan and
+one weight update; ``train_stump`` runs one scan.
 """
 
 from __future__ import annotations
@@ -96,15 +99,16 @@ class _Scan:
     """The stump scan's per-fit state.  It checks that X is a finite,
     non-empty matrix, that the view (``presort(X)`` when none is passed)
     has X's transposed shape, holds a permutation of 0..n-1 in each row
-    and orders X's columns, and that y holds one -1 or +1 label per row.
-    It holds X's sorted values (d, n), the tie mask (split position k,
-    with k rows below the threshold, is no split when sorted values k-1
-    and k are equal), the (2d, n - 1) flat gather index of the k lowest
-    rows of each feature into the stacked (positive, negative) class
-    weights, the (2, n) class mask, and the cumulative (2d, n) and error
-    (2, d, n) buffers every round reuses.  A round's threshold is one
-    below the minimum at k = 0, else the midpoint of sorted values k-1
-    and k."""
+    and orders X's columns, and that y holds one -1 or +1 label per row;
+    the weights are not checked here (see ``train_stump``).  It holds X's
+    sorted values (d, n), the tie mask (split position k, with k rows
+    below the threshold, is no split when sorted values k-1 and k are
+    equal) and whether any position is tied, the (d, n - 1) gather index
+    of the k lowest rows of each feature, the (2, n) class mask, and the
+    buffers every round reuses: the (n,) complex class-weight pair, the
+    complex cumulative (d, n) and remainder (d, n) sums and the (2, d, n)
+    errors.  A round's threshold is one below the minimum at k = 0, else
+    the midpoint of sorted values k-1 and k."""
 
     def __init__(self, X, y, view=None):
         self.X = X = np.asarray(X, dtype=np.float64)
@@ -121,11 +125,12 @@ class _Scan:
             # with integers in [0, n), hitting every cell makes each row a permutation
             hit = np.zeros(d * n, dtype=bool)
             if order.dtype.kind in "iu" and order.min() >= 0 and order.max() < n:
+                # uint64 + int64 rows would promote to float
+                order = order.astype(np.intp, copy=False)
                 hit[order + rows] = True
             if not hit.all():
                 raise DataError("presorted view rows must be permutations of 0..%d" % (n - 1))
-            order = order.astype(np.intp, copy=False)  # a narrow dtype would wrap below + n
-        # X's values in view order: one flat gather, like each round's
+        # X's values in view order: one flat gather
         v = X.T.take(order + rows)
         lo, hi = v[:, :-1], v[:, 1:]
         if (hi < lo).any():
@@ -136,32 +141,34 @@ class _Scan:
         self.sorted = v
         self.tied = np.zeros((d, n), dtype=bool)
         self.tied[:, 1:] = hi == lo
-        below = order[:, :-1]
-        self.index = np.concatenate((below, below + n))
+        self.any_tied = bool(self.tied.any())
+        self.below = np.ascontiguousarray(order[:, :-1])  # a strided index gathers slower
         self.cls = np.array([y > 0, y < 0])
-        self.cum = np.zeros((2 * d, n))  # split position 0 stays zero
+        self.pair = np.empty(n, dtype=np.complex128)
+        self.cum = np.zeros((d, n), dtype=np.complex128)  # split position 0 stays zero
+        self.rest = np.empty((d, n), dtype=np.complex128)
         self.errs = np.empty((2, d, n))
 
     def __call__(self, w):
         """(feature, threshold, polarity, error) of the best stump under
-        weights ``w``, with the tie-break of ``train_stump``; ``w`` is
-        checked on every call."""
-        w = np.asarray(w, dtype=np.float64)
-        # the exact comparison fails on NaN and inf too
-        if w.shape != self.cls.shape[1:] or not abs(w.sum() - 1.0) <= 1e-9 or (w < 0).any():
-            raise DataError("weights must be finite, non-negative, one per row and sum to 1")
+        weights ``w``, with the tie-break of ``train_stump``."""
         W = np.where(self.cls, w, 0.0)
-        total = np.add.reduce(W, axis=1)
-        # cum[c, j, k]: class c's weight of the k lowest rows of feature j
-        np.cumsum(W.ravel()[self.index], axis=1, out=self.cum[:, 1:])
-        cum, errs = self.cum.reshape(self.errs.shape), self.errs
-        # polarity +1 misclassifies positives below and negatives at/above;
-        # (total - cum) + cum is bit for bit cum + (total - cum)
-        np.subtract(total[::-1, None, None], cum[::-1], out=errs)
-        errs += cum
-        plus, low = errs
+        # contiguous rows: a reduce over the interleaved pair sums in another order
+        tp, tn = np.add.reduce(W, axis=1)
+        pair, cum, rest = self.pair, self.cum, self.rest
+        pair.real, pair.imag = W
+        # cum[j, k]: the (positive, negative) weight of the k lowest rows of
+        # feature j; a complex add is the two float adds, so one cumsum
+        # runs both classes' left-to-right sums in step
+        pair.take(self.below).cumsum(axis=1, out=cum[:, 1:])
+        np.subtract(complex(tp, tn), cum, out=rest)
+        # polarity +1 misclassifies positives below and negatives at/above
+        plus, low = self.errs
+        np.add(rest.imag, cum.real, out=plus)  # (tn - cn) + cp
+        np.add(rest.real, cum.imag, out=low)  # (tp - cp) + cn
         np.minimum(plus, low, out=low)  # low[j, k]: the lower polarity's error
-        np.copyto(low, np.inf, where=self.tied)
+        if self.any_tied:
+            np.copyto(low, np.inf, where=self.tied)
         # the first minimum in (feature, split position) order
         j, k = divmod(int(low.argmin()), low.shape[1])
         polarity = 1 if plus[j, k] == low[j, k] else -1
@@ -191,14 +198,21 @@ def train_stump(X, y, w, view=None):
     y : ndarray, shape (n,)
         Labels in {-1, +1}.
     w : ndarray, shape (n,)
-        Finite, non-negative sample weights summing to 1 within 1e-9.
+        Finite, non-negative sample weights summing to 1 within 1e-9,
+        checked here: this is the one caller whose weights come from
+        outside (``train`` makes its own).
     view : ndarray, shape (d, n), optional
         ``presort(X)``, the row order of each column: each row an integer
         permutation of 0..n-1 that orders X; with it the scan never
-        sorts.  Every input is checked either way: the scan's checks are
-        ``train``'s.
+        sorts.  X, the view and y are checked either way, by the scan
+        state ``train`` builds too.
     """
-    j, threshold, polarity, err = _Scan(X, y, view)(w)
+    scan = _Scan(X, y, view)
+    w = np.asarray(w, dtype=np.float64)
+    # the exact comparison fails on NaN and inf too
+    if w.shape != scan.cls.shape[1:] or not abs(w.sum() - 1.0) <= 1e-9 or (w < 0).any():
+        raise DataError("weights must be finite, non-negative, one per row and sum to 1")
+    j, threshold, polarity, err = scan(w)
     return Stump(j, threshold, polarity, 0.0), err
 
 
@@ -217,9 +231,13 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
 
     The scan state, built once per fit, checks X, the view and the labels
     as ``train_stump`` does and holds the set-up (sorted values, ties,
-    gather index, class mask, buffers); each round reruns only its
-    weight-dependent steps, so every round chooses the stump
-    ``train_stump(X, y, w, view)`` would.
+    gather index, class mask, buffers).  A round is the scan and the
+    weight update w * exp(-alpha * y * h) / sum, where y * h is +1 on the
+    rows the stump gets right, so the exponent is -alpha there and
+    +alpha elsewhere.  The weights are not checked per round: they start
+    uniform, |alpha| <= 0.5 ln(1e10) keeps every factor finite and
+    positive, and each round renormalizes them.  So every round chooses
+    the stump ``train_stump(X, y, w, view)`` would.
     """
     labels = np.asarray(labels)
     if not is_binary(labels):
@@ -230,28 +248,28 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
         raise DataError("rounds must be >= 1")
     y = 2.0 * labels - 1.0
     scan = _Scan(X, y, view)
-    X = scan.X
+    XT = scan.X.T
     if history is not None:
         history.update(epsilon=[], weight_sum=[], bound=[], train_error=[])
 
-    n = X.shape[0]
+    n = XT.shape[1]
     w = np.full(n, 1.0 / n)
-    stumps = []
+    picks = []
     margin = np.zeros(n)
     bound = 1.0
     for _ in range(rounds):
         j, threshold, polarity, err = scan(w)
         eps = min(max(err, EPS), 1.0 - EPS)
         alpha = 0.5 * math.log((1.0 - eps) / eps)
-        stump = Stump(j, threshold, polarity, alpha)
-        stumps.append(stump)
-        preds = stump.predict(X)
+        picks.append((j, threshold, polarity, alpha))
+        # right: the stump's sign (polarity if x >= threshold) is y's
+        right = (XT[j] >= threshold) == scan.cls[0 if polarity > 0 else 1]
         stop = err <= EPS
         if not stop:
-            w = w * np.exp(-alpha * y * preds)
-            w = w / w.sum()
+            w = w * np.exp(np.where(right, -alpha, alpha))
+            w /= w.sum()
         if history is not None:
-            margin += alpha * preds
+            margin += alpha * np.where(right, y, -y)
             bound *= 2.0 * math.sqrt(eps * (1.0 - eps))
             history["epsilon"].append(err)
             history["weight_sum"].append(float(w.sum()))
@@ -259,4 +277,4 @@ def train(X, labels, rounds: int, history: dict | None = None, view=None) -> Ada
             history["train_error"].append(float(np.mean(hard_labels(margin) != labels)))
         if stop:
             break
-    return AdaBoostModel(stumps=tuple(stumps))
+    return AdaBoostModel(stumps=tuple(Stump(*pick) for pick in picks))

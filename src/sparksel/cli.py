@@ -336,12 +336,16 @@ _COMMANDS = {"select": _select, "importance": _select, "baseline": _select,
 # --- compare ---------------------------------------------------------------
 
 _PROTOCOL_PREFIXES = ("data.", "synth.", "split.")
+# the search budget, the model size and the mask floor change what Avg means
+_PROTOCOL_KEYS = ("swarm.max_evaluations", "adaboost.rounds", "selection.lambda_fraction")
 
 
 def _protocol_slice(report):
     cfg = report.get("config", {})
-    keys = {k: v for k, v in cfg.items() if k.startswith(_PROTOCOL_PREFIXES)}
+    keys = {k: v for k, v in cfg.items()
+            if k.startswith(_PROTOCOL_PREFIXES) or k in _PROTOCOL_KEYS}
     keys["seeds"] = report.get("seeds")
+    keys["schema_version"] = report.get("schema_version")
     return keys
 
 
@@ -370,12 +374,14 @@ def _compare(cfg: ExperimentConfig, out_dir) -> dict:
         reports.append(report)
 
     base = _protocol_slice(reports[0])
+    absent = object()
     for path, report in zip(paths[1:], reports[1:]):
-        if _protocol_slice(report) != base:
-            raise DataError(
-                "mismatched protocols: %s and %s differ in data/split/seeds"
-                % (paths[0], path)
-            )
+        other = _protocol_slice(report)
+        differ = sorted(k for k in base.keys() | other.keys()
+                        if base.get(k, absent) != other.get(k, absent))
+        if differ:
+            raise DataError("mismatched protocols: %s and %s differ in %s"
+                            % (paths[0], path, ", ".join(differ)))
 
     rows = []
     ref_avg = None

@@ -790,7 +790,9 @@ class TestCompare:
         table = _render_table(rows)
         assert "97.55" in table and "-0.45" in table and "---" in table
 
-    def test_protocol_mismatch_rejected(self, tmp_path):
+    def test_protocol_mismatch_rejected(self, tmp_path, capsys):
+        """Reports on other data, budgets, model sizes, mask floors or
+        schemas do not share a table; the error names the key."""
         sel, _ = self.make_reports(tmp_path)
         other_dir = tmp_path / "other"
         other_dir.mkdir()
@@ -799,10 +801,19 @@ class TestCompare:
                                           "synth.n_samples = 44"),
                             name="other.cfg")
         assert run_cli(["select", "--config", cfg2, "--out", str(other_dir)]) == 0
-        text = ("compare.reference = %s\ncompare.others = %s\n"
-                % (sel, other_dir / "select.json"))
-        cfg = write_config(tmp_path, text, name="cmp.cfg")
-        assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+        others = {"synth.n_samples": other_dir / "select.json"}
+        for key, value in [("swarm.max_evaluations", 80), ("adaboost.rounds", 6),
+                           ("selection.lambda_fraction", 0.4), ("schema_version", 1)]:
+            doc = load_report(sel)
+            (doc["config"] if "." in key else doc)[key] = value
+            others[key] = tmp_path / ("%s.json" % key)
+            others[key].write_text(json.dumps(doc))
+        capsys.readouterr()
+        for key, path in others.items():
+            text = "compare.reference = %s\ncompare.others = %s\n" % (sel, path)
+            cfg = write_config(tmp_path, text, name="cmp.cfg")
+            assert run_cli(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2, key
+            assert "differ in %s\n" % key in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         '[1, 2]',
