@@ -18,17 +18,22 @@ its runs and aggregate (compare its table rows, after writing
 compare.txt), and ``_dispatch`` adds the header fields and the wall
 time, then writes ``<out>/<stem>.json``.  select, importance and
 baseline share one body, ``_select``, and ``_selection_runs`` builds
-every selection run record.  The swarm scores each batch of candidates
-in one objective call on the calling thread.  The output directory is
-created before the command runs, and every file lands in it atomically
-(temp then rename).  Exit codes: 0 success, 1 config error (running out
-of memory included), 2 data error, 3 internal invariant violation.
+every selection run record.  A command's seed runs (``bench``: its
+(algorithm, seed) runs) go through ``_in_workers``, which spreads them
+over forked worker processes and keeps their order, so a report holds
+the same bytes either way apart from ``wall_time_s``.  Within a run the
+swarm scores each batch of candidates in one objective call.  The
+output directory is created before the command runs, and every file
+lands in it atomically (temp then rename).  Exit codes: 0 success, 1
+config error (running out of memory included), 2 data error, 3
+internal invariant violation (a killed worker process included).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import statistics
@@ -147,20 +152,55 @@ def _write_atomic(path, content) -> None:
     os.replace(tmp, path)
 
 
-def _datasets(cfg: ExperimentConfig, seeds):
-    """(seed, dataset) per seed: the ``data.path`` table, read once for
-    the command, or the seed's synthetic table."""
-    path = cfg.get("data.path")
-    table = load_csv(path) if path else None
-    for seed in seeds:
-        yield seed, table if path else generate_synthetic(
-            SynthSpec(seed=seed, **cfg.field_values(SynthSpec)))
+def _dataset(cfg: ExperimentConfig, seed, table=None):
+    """The ``data.path`` table, read once for the command and passed as
+    ``table``, or else the seed's synthetic table."""
+    if table is not None:
+        return table
+    return generate_synthetic(SynthSpec(seed=seed, **cfg.field_values(SynthSpec)))
 
 
 def _swarm_config(cfg: ExperimentConfig, seed: int, dimensions: int) -> swarm.SwarmConfig:
     return swarm.SwarmConfig(
         dimensions=dimensions, seed=seed, **cfg.field_values(swarm.SwarmConfig)
     )
+
+
+def _in_workers(fn, items) -> list:
+    """``[fn(item) for item in items]``: in forked worker processes, one
+    per usable CPU, when there are at least 2 of each, else in this one.
+
+    ``fn`` is pickled by name.  A worker gets a new item only when it
+    finishes one, so after a failure no further item starts, and the
+    first error in item order is raised, as the loop would raise it.  A
+    worker killed by a signal raises ``InvariantError``.  No worker
+    outlives the call."""
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork is safe on the pinned Python 3.11: OpenBLAS shuts its idle
+    # thread's pool down around a fork, and the executor forks before it
+    # starts its own thread.  Python 3.12 warns on forking with threads
+    # (an error under the tests' filterwarnings): revisit on an upgrade.
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            # submitting all items at once would queue them ahead of the
+            # workers, out of reach of a cancel
+            futures, running = [], set()
+            for item in items:
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    if any(f.exception() for f in done):
+                        break
+                futures.append(pool.submit(fn, item))
+                running.add(futures[-1])
+        return [f.result() for f in futures]
+    except BrokenProcessPool as exc:
+        raise InvariantError("a worker process was killed: %s" % exc) from None
 
 
 # --- command bodies --------------------------------------------------------
@@ -171,39 +211,45 @@ def _swarm_config(cfg: ExperimentConfig, seed: int, dimensions: int) -> swarm.Sw
 def _selection_runs(cfg: ExperimentConfig, seeds, variant) -> list:
     """One report record per seed: the skb filter's run when ``variant``
     is "skb", else the configured swarm's wrapper run."""
-    runs = []
-    for seed, ds in _datasets(cfg, seeds):
-        sel_cfg = selection.SelectionConfig(
-            swarm=_swarm_config(cfg, seed, ds.d), split_seed=seed,
-            **cfg.field_values(selection.SelectionConfig),
-        )
-        t0 = time.perf_counter()
-        if variant == "skb":
-            k = cfg.get("skb.k") or sel_cfg.floor
-            res = selection.select_k_best(ds, sel_cfg, k)
-        else:
-            res = selection.select_features(ds, sel_cfg)
-        run = {
-            "algorithm": res.algorithm,
-            "config": dataclasses.asdict(sel_cfg),
-            "seed": seed,
-            "best_mask": [int(b) for b in res.best_mask],
-            "metrics": res.best_metrics.to_dict(),
-            "loss": res.loss,
-            "importance": [int(c) for c in res.importance],
-            "evaluations": int(res.evaluations),
-            "min_popcount": res.min_popcount,
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        if variant == "skb":
-            run["k"] = int(k)
-        if ds.informative is not None:
-            hits = int(res.best_mask[list(ds.informative)].sum())
-            run["informative_recall"] = hits / len(ds.informative)
-        if res.holdout_metrics is not None:
-            run["holdout_metrics"] = res.holdout_metrics.to_dict()
-        runs.append(run)
-    return runs
+    path = cfg.get("data.path")
+    run = functools.partial(_selection_run, cfg, load_csv(path) if path else None, variant)
+    if variant == "skb":  # a filter with no search: a pool costs more than it saves
+        return [run(seed) for seed in seeds]
+    return _in_workers(run, seeds)
+
+
+def _selection_run(cfg: ExperimentConfig, table, variant, seed) -> dict:
+    ds = _dataset(cfg, seed, table)
+    sel_cfg = selection.SelectionConfig(
+        swarm=_swarm_config(cfg, seed, ds.d), split_seed=seed,
+        **cfg.field_values(selection.SelectionConfig),
+    )
+    t0 = time.perf_counter()
+    if variant == "skb":
+        k = cfg.get("skb.k") or sel_cfg.floor
+        res = selection.select_k_best(ds, sel_cfg, k)
+    else:
+        res = selection.select_features(ds, sel_cfg)
+    run = {
+        "algorithm": res.algorithm,
+        "config": dataclasses.asdict(sel_cfg),
+        "seed": seed,
+        "best_mask": [int(b) for b in res.best_mask],
+        "metrics": res.best_metrics.to_dict(),
+        "loss": res.loss,
+        "importance": [int(c) for c in res.importance],
+        "evaluations": int(res.evaluations),
+        "min_popcount": res.min_popcount,
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    if variant == "skb":
+        run["k"] = int(k)
+    if ds.informative is not None:
+        hits = int(res.best_mask[list(ds.informative)].sum())
+        run["informative_recall"] = hits / len(ds.informative)
+    if res.holdout_metrics is not None:
+        run["holdout_metrics"] = res.holdout_metrics.to_dict()
+    return run
 
 
 def _select(args, cfg: ExperimentConfig, seeds, out_dir):
@@ -230,27 +276,9 @@ def _select(args, cfg: ExperimentConfig, seeds, out_dir):
 
 def _bench(args, cfg: ExperimentConfig, seeds, out_dir):
     function = cfg.get("bench.function")
-    objective = swarm.BENCHMARKS[function]
-    dimensions = cfg.get("bench.dimensions")
     algorithms = cfg.get("bench.algorithms")
-    runs = []
-    for algo in algorithms:
-        for seed in seeds:
-            scfg = dataclasses.replace(
-                _swarm_config(cfg, seed, dimensions), algorithm=algo
-            )
-            res = swarm.optimize(objective, scfg)
-            runs.append(
-                {
-                    "algorithm": algo,
-                    "function": function,
-                    "seed": seed,
-                    "config": dataclasses.asdict(scfg),
-                    "best_fitness": res.best_fitness,
-                    "evaluations_used": int(res.evaluations_used),
-                    "trace": [float(v) for v in res.fitness_trace],
-                }
-            )
+    runs = _in_workers(functools.partial(_bench_run, cfg, function),
+                       [(algo, seed) for algo in algorithms for seed in seeds])
     aggregate = {}
     for algo in algorithms:
         fits = [r["best_fitness"] for r in runs if r["algorithm"] == algo]
@@ -258,9 +286,27 @@ def _bench(args, cfg: ExperimentConfig, seeds, out_dir):
     return runs, aggregate, "bench-" + function, "bench_" + function
 
 
+def _bench_run(cfg: ExperimentConfig, function, algo_seed) -> dict:
+    algo, seed = algo_seed
+    scfg = dataclasses.replace(
+        _swarm_config(cfg, seed, cfg.get("bench.dimensions")), algorithm=algo
+    )
+    res = swarm.optimize(swarm.BENCHMARKS[function], scfg)
+    return {
+        "algorithm": algo,
+        "function": function,
+        "seed": seed,
+        "config": dataclasses.asdict(scfg),
+        "best_fitness": res.best_fitness,
+        "evaluations_used": int(res.evaluations_used),
+        "trace": [float(v) for v in res.fitness_trace],
+    }
+
+
 def _synth(args, cfg: ExperimentConfig, seeds, out_dir):
     runs = []
-    for seed, ds in _datasets(cfg.with_overrides({"data.path": ""}), seeds):
+    for seed in seeds:
+        ds = _dataset(cfg, seed)
         path = os.path.join(out_dir, "synth_%d.csv" % seed)
         _write_atomic(path, lambda tmp: save_csv(ds, tmp))
         runs.append(

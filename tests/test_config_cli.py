@@ -4,10 +4,13 @@ line-accurate errors, report shape, exit codes, and the compare table."""
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from sparksel import cli, data, selection
 from sparksel import ippg
 from sparksel.cli import main
 from sparksel.config import default_config, parse_config
-from sparksel.errors import ConfigError, DataError
+from sparksel.errors import ConfigError, DataError, InvariantError
 from sparksel.selection import SelectionConfig
 from sparksel.swarm import SwarmConfig
 
@@ -747,6 +750,205 @@ def test_cli_import_leaves_scipy_signal_unloaded():
          "import sys, sparksel.cli; print('scipy.signal' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+# A fresh interpreter with a given usable-CPU count: "pinned" pins it to
+# one CPU, as ``taskset -c 0`` does, and "2" makes it see two on any
+# host.  It runs ``sparksel <argv>`` for each "|"-joined argv, then
+# prints the exit codes and which process-pool modules were loaded.
+CPU_SHIM = """
+import json, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+else:
+    os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+from sparksel import cli
+def loaded():
+    return [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+at_import = loaded()
+codes = [cli.main(argv.split("|")) for argv in sys.argv[2:]]
+print(json.dumps([codes, at_import, loaded()]))
+"""
+
+
+def run_with_cpus(cpus, *argvs):
+    """(exit codes, pool modules loaded at import, loaded at the end) of
+    ``sparksel <argv>`` for each argv, in one fresh interpreter whose
+    hash seed differs between "pinned" and the rest."""
+    src = os.path.dirname(os.path.dirname(sparksel.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1" if cpus == "pinned" else "2")
+    proc = subprocess.run(
+        [sys.executable, "-c", CPU_SHIM, cpus, *("|".join(a) for a in argvs)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def mask_wall_time(text):
+    return re.sub(r'"wall_time_s": [0-9.e+-]+', '"wall_time_s": _', text)
+
+
+def test_multi_seed_reports_identical_across_processes(tmp_path):
+    """select and bench sphere with 3 seeds, once pinned to one CPU and
+    once through worker processes, each in a fresh interpreter with its
+    own hash seed, write byte-identical reports once the wall time is
+    masked; the pinned interpreter never loads the process pool."""
+    cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2"))
+    pool_modules = ["multiprocessing", "concurrent.futures.process"]
+    for argv, name in ((["select"], "select.json"), (["bench", "sphere"], "bench_sphere.json")):
+        argv = argv + ["--config", cfg, "--out", str(tmp_path)]
+        texts = []
+        for cpus, loaded in (("pinned", []), ("2", pool_modules)):
+            assert run_with_cpus(cpus, argv) == [[0], [], loaded]
+            texts.append(mask_wall_time((tmp_path / name).read_text()))
+        assert texts[0] == texts[1]
+
+
+def test_single_run_commands_load_no_process_pool(tmp_path):
+    """Importing the CLI, a command with one run, and baseline skb with
+    several seeds load neither multiprocessing nor the process pool, even
+    with 2 usable CPUs: a pool's import and start-up are paid only where
+    runs are spread."""
+    cfg = write_config(tmp_path, QUICK + "bench.algorithms = ifa\n"
+                       "ippg.duration_s = 8\nippg.height = 4\nippg.width = 4\n")
+    common = ["--config", cfg, "--out", str(tmp_path)]
+    argvs = [argv + common for argv in (["select"], ["importance"], ["baseline", "pso"],
+                                         ["bench", "sphere"], ["synth"], ["ippg"],
+                                         ["baseline", "skb", "--seeds", "0,1,2"])]
+    assert run_with_cpus("2", *argvs) == [[0] * len(argvs), [], []]
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``cli`` see ``n`` usable CPUs, so either path runs on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool ``cli`` starts."""
+    import concurrent.futures
+
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return started
+
+
+@pytest.mark.parametrize("seeds", ["0", "0,1", "0,1,2", "0,1,2,3,4"])
+@pytest.mark.parametrize("argv, name", [
+    (["select"], "select.json"),
+    (["importance"], "importance.json"),
+    (["baseline", "pso"], "baseline_pso.json"),
+    (["bench", "sphere"], "bench_sphere.json"),  # ifa and fa, the default
+])
+def test_worker_runs_equal_in_process_runs(tmp_path, monkeypatch, pools, argv, name, seeds):
+    """A report is byte-identical, wall times masked, whether its runs go
+    through worker processes or run in this process.  One run starts no
+    pool, and a pool has no more workers than runs or usable CPUs."""
+    cfg = write_config(tmp_path, QUICK)
+    texts = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        assert run_cli(argv + ["--config", cfg, "--seeds", seeds, "--out", str(tmp_path)]) == 0
+        assert multiprocessing.active_children() == []
+        texts.append(mask_wall_time((tmp_path / name).read_text()))
+    assert texts[0] == texts[1]
+    runs = len(seeds.split(",")) * (2 if argv[0] == "bench" else 1)
+    assert pools == ([] if runs == 1 else [2])
+
+
+def test_baseline_skb_starts_no_pool(tmp_path, monkeypatch, pools):
+    """skb is a filter with no search, so a pool would cost more than
+    its runs: they stay in this process."""
+    use_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path, QUICK)
+    assert run_cli(["baseline", "skb", "--config", cfg, "--seeds", "0,1,2,3,4",
+                    "--out", str(tmp_path)]) == 0
+    assert pools == []
+    assert len(load_report(tmp_path / "baseline_skb.json")["runs"]) == 5
+
+
+def fail_in_select(monkeypatch, fail):
+    """Call ``fail(seed)`` at the start of every wrapper selection; the
+    fork carries the patch into the workers."""
+    real = selection.select_features
+
+    def select_features(ds, cfg):
+        fail(cfg.split_seed)
+        return real(ds, cfg)
+
+    monkeypatch.setattr(selection, "select_features", select_features)
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (ConfigError("bad setting"), 1, "config error: bad setting"),
+    (DataError("bad table"), 2, "data error: bad table"),
+    (InvariantError("broken rule"), 3, "internal error: broken rule"),
+    (MemoryError("no room"), 1, "config error: out of memory: no room"),
+])
+def test_worker_error_keeps_exit_code_and_message(tmp_path, monkeypatch, capsys, pools,
+                                                  error, code, message):
+    """An error raised in a worker exits as the in-process run does, with
+    the same one-line message, writes no report and leaves no worker."""
+    def fail(seed):
+        if seed == 1:
+            raise error
+
+    fail_in_select(monkeypatch, fail)
+    cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2"))
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == code
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == message + "\n"
+    assert pools == [2]
+    assert not (tmp_path / "select.json").exists()
+
+
+def test_killed_worker_exits_three_naming_it(tmp_path, monkeypatch, capsys, pools):
+    """A worker killed by a signal ends the command with exit code 3 and
+    a message saying so, not a hang, and no worker is left behind."""
+    parent = os.getpid()
+
+    def fail(seed):
+        if seed == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    fail_in_select(monkeypatch, fail)
+    use_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2"))
+    assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: a worker process was killed:") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+    assert pools == [2]
+    assert not (tmp_path / "select.json").exists()
+
+
+def test_first_failure_starts_no_further_seed(tmp_path, monkeypatch, capsys, pools):
+    """Once a seed fails, the seeds not yet handed to a worker never
+    start: a 5-seed run does not finish its other seeds first."""
+    started = tmp_path / "started"
+
+    def fail(seed):
+        if seed == 0:
+            raise DataError("seed 0 fails")
+        with open(started, "a", encoding="utf-8") as fh:
+            fh.write("%d\n" % seed)
+        time.sleep(0.5)  # the failure is seen while the other worker sleeps
+
+    fail_in_select(monkeypatch, fail)
+    use_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2,3,4"))
+    assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "data error: seed 0 fails\n"
+    assert "4" not in started.read_text().split()
+    assert multiprocessing.active_children() == []
 
 
 class TestCompare:
