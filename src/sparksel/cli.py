@@ -20,13 +20,14 @@ time, then writes ``<out>/<stem>.json``.  select, importance and
 baseline share one body, ``_select``, and ``_selection_runs`` builds
 every selection run record.  A command's seed runs (``bench``: its
 (algorithm, seed) runs) go through ``_in_workers``, which spreads them
-over forked worker processes and keeps their order, so a report holds
-the same bytes either way apart from ``wall_time_s``.  Within a run the
-swarm scores each batch of candidates in one objective call.  The
-output directory is created before the command runs, and every file
-lands in it atomically (temp then rename).  Exit codes: 0 success, 1
-config error (running out of memory included), 2 data error, 3
-internal invariant violation (a killed worker process included).
+over this process and forked worker processes and keeps their order,
+so a report holds the same bytes either way apart from
+``wall_time_s``.  Within a run the swarm scores each batch of
+candidates in one objective call.  The output directory is created
+before the command runs, and every file lands in it atomically (temp
+then rename).  Exit codes: 0 success, 1 config error (running out of
+memory included), 2 data error, 3 internal invariant violation (a
+killed worker process included).
 """
 
 from __future__ import annotations
@@ -167,40 +168,76 @@ def _swarm_config(cfg: ExperimentConfig, seed: int, dimensions: int) -> swarm.Sw
 
 
 def _in_workers(fn, items) -> list:
-    """``[fn(item) for item in items]``: in forked worker processes, one
-    per usable CPU, when there are at least 2 of each, else in this one.
+    """``[fn(item) for item in items]``: spread over this process and
+    forked worker processes, one per further usable CPU, when there are
+    at least 2 items and 2 CPUs, else all in this one.
 
-    ``fn`` is pickled by name.  A worker gets a new item only when it
-    finishes one, so after a failure no further item starts, and the
-    first error in item order is raised, as the loop would raise it.  A
-    worker killed by a signal raises ``InvariantError``.  No worker
-    outlives the call."""
-    workers = min(len(items), len(os.sched_getaffinity(0)))
-    if workers < 2:
+    Each process takes the next item in order whenever it is free, so
+    no more processes are busy than there are CPUs and none sits idle
+    while an item waits.  After a failure no further item starts, and
+    the first error in item order is raised, as the loop would raise
+    it.  A worker killed by a signal raises ``InvariantError``.  No
+    worker outlives the call."""
+    slots = min(len(items), len(os.sched_getaffinity(0)))
+    if slots < 2:
         return [fn(item) for item in items]
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     # fork is safe on the pinned Python 3.11: OpenBLAS shuts its idle
     # thread's pool down around a fork, and the executor forks before it
     # starts its own thread.  Python 3.12 warns on forking with threads
     # (an error under the tests' filterwarnings): revisit on an upgrade.
+    # The workers inherit fn, items and the counter through the fork.
+    ctx = multiprocessing.get_context("fork")
+    shared = fn, items, ctx.Value("i", 0)
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            # submitting all items at once would queue them ahead of the
-            # workers, out of reach of a cancel
-            futures, running = [], set()
-            for item in items:
-                if len(running) == workers:
-                    done, running = wait(running, return_when=FIRST_COMPLETED)
-                    if any(f.exception() for f in done):
-                        break
-                futures.append(pool.submit(fn, item))
-                running.add(futures[-1])
-        return [f.result() for f in futures]
+        with ProcessPoolExecutor(slots - 1, mp_context=ctx, initializer=_join_items,
+                                 initargs=shared) as pool:
+            taken = [pool.submit(_take_items) for _ in range(slots - 1)]
+            done = _take_items(*shared)
+        for future in taken:
+            done.update(future.result())
     except BrokenProcessPool as exc:
         raise InvariantError("a worker process was killed: %s" % exc) from None
+    results = []
+    for index in sorted(done):  # the taken items are a prefix of items
+        ok, value = done[index]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+_worker_items = None  # a worker process's (fn, items, next index)
+
+
+def _join_items(*shared) -> None:
+    global _worker_items
+    _worker_items = shared
+
+
+def _take_items(fn=None, items=None, next_index=None) -> dict:
+    """Run items as this process takes them, in order, until none is
+    left or one fails: ``{index: (True, result) or (False, error)}``.
+    A worker takes from what ``_join_items`` gave it."""
+    if fn is None:
+        fn, items, next_index = _worker_items
+    done = {}
+    while True:
+        with next_index.get_lock():
+            index = next_index.value
+            next_index.value += 1
+        if index >= len(items):
+            return done
+        try:
+            done[index] = True, fn(items[index])
+        except Exception as exc:
+            done[index] = False, exc
+            with next_index.get_lock():
+                next_index.value = len(items)  # no further item starts
+            return done
 
 
 # --- command bodies --------------------------------------------------------

@@ -849,7 +849,8 @@ def pools(monkeypatch):
 def test_worker_runs_equal_in_process_runs(tmp_path, monkeypatch, pools, argv, name, seeds):
     """A report is byte-identical, wall times masked, whether its runs go
     through worker processes or run in this process.  One run starts no
-    pool, and a pool has no more workers than runs or usable CPUs."""
+    pool, and with 2 usable CPUs a pool has one worker: this process
+    runs items too."""
     cfg = write_config(tmp_path, QUICK)
     texts = []
     for cpus in (1, 2):
@@ -859,7 +860,7 @@ def test_worker_runs_equal_in_process_runs(tmp_path, monkeypatch, pools, argv, n
         texts.append(mask_wall_time((tmp_path / name).read_text()))
     assert texts[0] == texts[1]
     runs = len(seeds.split(",")) * (2 if argv[0] == "bench" else 1)
-    assert pools == ([] if runs == 1 else [2])
+    assert pools == ([] if runs == 1 else [1])
 
 
 def test_baseline_skb_starts_no_pool(tmp_path, monkeypatch, pools):
@@ -896,6 +897,8 @@ def test_worker_error_keeps_exit_code_and_message(tmp_path, monkeypatch, capsys,
     """An error raised in a worker exits as the in-process run does, with
     the same one-line message, writes no report and leaves no worker."""
     def fail(seed):
+        if seed == 0:  # keeps this process busy, so a worker takes seed 1
+            time.sleep(0.2)
         if seed == 1:
             raise error
 
@@ -906,7 +909,7 @@ def test_worker_error_keeps_exit_code_and_message(tmp_path, monkeypatch, capsys,
         assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == code
         assert multiprocessing.active_children() == []
         assert capsys.readouterr().err == message + "\n"
-    assert pools == [2]
+    assert pools == [1]
     assert not (tmp_path / "select.json").exists()
 
 
@@ -916,8 +919,9 @@ def test_killed_worker_exits_three_naming_it(tmp_path, monkeypatch, capsys, pool
     parent = os.getpid()
 
     def fail(seed):
-        if seed == 1 and os.getpid() != parent:
+        if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.2)  # leaves the worker time to take a seed
 
     fail_in_select(monkeypatch, fail)
     use_cpus(monkeypatch, 2)
@@ -926,7 +930,7 @@ def test_killed_worker_exits_three_naming_it(tmp_path, monkeypatch, capsys, pool
     err = capsys.readouterr().err
     assert err.startswith("internal error: a worker process was killed:") and err.count("\n") == 1
     assert multiprocessing.active_children() == []
-    assert pools == [2]
+    assert pools == [1]
     assert not (tmp_path / "select.json").exists()
 
 
@@ -934,13 +938,15 @@ def test_first_failure_starts_no_further_seed(tmp_path, monkeypatch, capsys, poo
     """Once a seed fails, the seeds not yet handed to a worker never
     start: a 5-seed run does not finish its other seeds first."""
     started = tmp_path / "started"
+    started.write_text("")
 
     def fail(seed):
-        if seed == 0:
+        if seed == 0:  # fails while the other process runs seed 1
+            time.sleep(0.1)
             raise DataError("seed 0 fails")
         with open(started, "a", encoding="utf-8") as fh:
             fh.write("%d\n" % seed)
-        time.sleep(0.5)  # the failure is seen while the other worker sleeps
+        time.sleep(0.5)  # the failure is seen while seed 1 sleeps
 
     fail_in_select(monkeypatch, fail)
     use_cpus(monkeypatch, 2)
@@ -949,6 +955,45 @@ def test_first_failure_starts_no_further_seed(tmp_path, monkeypatch, capsys, poo
     assert capsys.readouterr().err == "data error: seed 0 fails\n"
     assert "4" not in started.read_text().split()
     assert multiprocessing.active_children() == []
+
+
+def test_this_process_runs_items_beside_its_workers(tmp_path, monkeypatch, pools):
+    """With 2 usable CPUs, 3 seeds run in this process and one worker,
+    each taking the next seed when it is free, so no more processes are
+    busy than there are CPUs."""
+    ran = tmp_path / "ran"
+
+    def fail(seed):
+        with open(ran, "a", encoding="utf-8") as fh:
+            fh.write("%d\n" % os.getpid())
+        if seed == 0:  # keeps this process busy while the worker takes seed 1
+            time.sleep(0.2)
+
+    fail_in_select(monkeypatch, fail)
+    use_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2"))
+    assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 0
+    pids = {int(p) for p in ran.read_text().split()}
+    assert len(pids) == 2 and os.getpid() in pids
+    assert pools == [1]
+
+
+def test_first_error_in_item_order_wins(tmp_path, monkeypatch, capsys, pools):
+    """An error raised in the worker in seed 1 yields to the later error
+    of seed 0 here: the command fails as the loop in order would."""
+    def fail(seed):
+        if seed == 0:
+            time.sleep(0.2)
+            raise DataError("seed 0 fails")
+        raise ConfigError("seed %d fails" % seed)
+
+    fail_in_select(monkeypatch, fail)
+    use_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2"))
+    assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "data error: seed 0 fails\n"
+    assert multiprocessing.active_children() == []
+    assert pools == [1]
 
 
 class TestCompare:
