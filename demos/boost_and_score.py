@@ -10,7 +10,7 @@ keep summing to one.  The history dict exposes all of it.
 
 import numpy as np
 
-from sparksel.boosting import train
+from sparksel.boosting import hard_labels, train
 from sparksel.data import SynthSpec, generate_synthetic, stratified_split
 from sparksel.metrics import score_set
 
@@ -47,7 +47,8 @@ print("\nbound minus train error, per round min: %.3e (never negative)"
       % gaps.min())
 
 # held-out quality, all six metrics from one call
-m = score_set(te.labels, model.predict(te.features), model.margins(te.features))
+margins = model.margins(te.features)
+m = score_set(te.labels, hard_labels(margins), margins)
 print("\nheld-out metrics")
 print("  auc %.4f  acc %.4f  pre %.4f" % (m.auc, m.acc, m.pre))
 print("  sen %.4f  f1  %.4f  spe %.4f" % (m.sen, m.f1, m.spe))

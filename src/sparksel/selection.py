@@ -4,8 +4,9 @@ A continuous position in [0,1]^d discretizes at 0.5 into a 0/1 mask
 (the boundary itself selects), a repair step flips zero bits on until
 the mask keeps at least lambda = ceil(lambda_fraction * d) features,
 and the objective is the negated sum of six test-set metrics of an
-AdaBoost model trained on the masked columns.  A run presorts its train
-table once (``boosting.presort``) and each fit slices that row order.  It
+AdaBoost model trained on the masked columns.  A run builds one scan
+table of its train side (``boosting._Table``: sorted values, ties and row
+order) and each fit takes that table's rows of its columns.  It
 remembers the loss of each repaired mask it has trained (a plain dict
 of floats keyed by the packed mask bits), so a repeated mask costs no
 training; the swarm's budget, the importance counters and the popcount
@@ -120,19 +121,17 @@ def repair(mask, lam: int, rng) -> np.ndarray:
 
 
 def fit_mask(mask, split: SplitPair, cfg: SelectionConfig, holdout: Dataset | None = None,
-             view=None):
+             table=None):
     """Train on the masked train columns and score the test side and
-    the ``holdout``: (loss, test metrics, holdout metrics).  ``view`` is the
-    row order ``boosting.presort(split.train.features)``, or None to sort per fit."""
+    the ``holdout``: (loss, test metrics, holdout metrics).  ``table`` is
+    the run's ``boosting._Table(split.train.features)``, or None to build
+    one for this fit."""
     cols = np.flatnonzero(mask)
     if cols.size == 0:
         raise InvariantError("mask selects zero columns")
-    model = boosting.train(
-        split.train.features[:, cols],
-        split.train.labels,
-        rounds=cfg.classifier_rounds,
-        view=None if view is None else view[cols],
-    )
+    if table is None:
+        table = boosting._Table(split.train.features)
+    model = boosting.train(table[cols], split.train.labels, rounds=cfg.classifier_rounds)
     mset = _score(model, split.test, cols)
     held = None if holdout is None else _score(model, holdout, cols)
     return -float(sum(mset.as_tuple())), mset, held
@@ -144,11 +143,11 @@ def _score(model, part: Dataset, cols) -> metrics.MetricSet:
     return metrics.score_set(part.labels, boosting.hard_labels(margins), margins)
 
 
-def fitness(mask, split: SplitPair, cfg: SelectionConfig, view=None):
+def fitness(mask, split: SplitPair, cfg: SelectionConfig, table=None):
     """Mask quality: train on masked train columns, score the test
     side, return (loss, metrics) with loss = -(sum of the six metrics).
-    Lower is better; the range is [-6, 0].  ``view`` as in ``fit_mask``."""
-    return fit_mask(mask, split, cfg, view=view)[:2]
+    Lower is better; the range is [-6, 0].  ``table`` as in ``fit_mask``."""
+    return fit_mask(mask, split, cfg, table=table)[:2]
 
 
 def protocol_split(ds: Dataset, cfg: SelectionConfig):
@@ -175,7 +174,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
             % (cfg.swarm.dimensions, ds.d)
         )
     split, holdout = protocol_split(ds, cfg)
-    view = boosting.presort(split.train.features)
+    table = boosting._Table(split.train.features)
 
     lam = cfg.floor
     tracker = ImportanceTracker.for_dimensions(ds.d)
@@ -197,7 +196,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
             raise InvariantError("repaired mask popcount %d < lambda %d" % (pop, lam))
         key = np.packbits(mask.astype(np.uint8)).tobytes()
         if key not in losses:
-            losses[key] = fitness(mask, split, cfg, view)[0]
+            losses[key] = fitness(mask, split, cfg, table)[0]
         tracker.record(mask)
         min_popcount = min(min_popcount, pop)
         return losses[key]
@@ -213,7 +212,7 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
         )
 
     best_mask = repaired(discretize(opt.best_x))
-    loss, mset, holdout_metrics = fit_mask(best_mask, split, cfg, holdout, view)
+    loss, mset, holdout_metrics = fit_mask(best_mask, split, cfg, holdout, table)
     return SelectionResult(
         algorithm=cfg.swarm.algorithm,
         best_mask=best_mask,

@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from sparksel import boosting
-from sparksel.boosting import AdaBoostModel, Stump, train, train_stump
+from sparksel.boosting import AdaBoostModel, Stump, _Table, hard_labels, train, train_stump
 from sparksel.errors import DataError
 
 
 def uniform_weights(n):
     return np.full(n, 1.0 / n)
+
+
+def signs(stump, X):
+    """The stump's own prediction in {-1, +1} per row."""
+    p = stump.polarity
+    return np.where(X[:, stump.feature_index] >= stump.threshold, p, -p)
 
 
 class TestStump:
@@ -39,7 +45,7 @@ class TestStump:
         y = np.ones(3)
         stump, err = train_stump(X, y, uniform_weights(3))
         assert err == pytest.approx(0.0)
-        assert np.all(stump.predict(X) == 1.0)
+        assert np.all(signs(stump, X) == 1.0)
 
     def test_weighted_error_beats_exhaustive_search(self):
         """The returned error matches a brute-force scan over every
@@ -61,7 +67,7 @@ class TestStump:
                         pred = pol * np.where(X[:, j] >= th, 1.0, -1.0)
                         best = min(best, float(w[pred != y].sum()))
             assert err == pytest.approx(best, abs=1e-12)
-            pred = stump.predict(X)
+            pred = signs(stump, X)
             assert float(w[pred != y].sum()) == pytest.approx(err, abs=1e-12)
 
     def test_tie_break_prefers_lowest_feature(self):
@@ -90,7 +96,7 @@ class TestTrain:
     def test_zero_error_after_one_round(self):
         X, y = self.separable()
         model = train(X, y, rounds=1)
-        assert np.array_equal(model.predict(X), y)
+        assert np.array_equal(hard_labels(model.margins(X)), y)
 
     def test_weight_sums_and_bound(self):
         rng = np.random.default_rng(5)
@@ -111,7 +117,7 @@ class TestTrain:
                                       Stump(0, 0.5, -1, 1.0)))
         X = np.array([[0.0], [1.0]])
         assert np.all(model.margins(X) == 0.0)
-        assert np.all(model.predict(X) == 1)
+        assert np.all(hard_labels(model.margins(X)) == 1)
 
     def test_alpha_scaling_leaves_predictions_fixed(self):
         X, y = self.separable(seed=3)
@@ -119,7 +125,7 @@ class TestTrain:
         scaled = AdaBoostModel(
             stumps=tuple(Stump(s.feature_index, s.threshold, s.polarity,
                                7.0 * s.alpha) for s in model.stumps))
-        assert np.array_equal(model.predict(X), scaled.predict(X))
+        assert np.array_equal(hard_labels(model.margins(X)), hard_labels(scaled.margins(X)))
 
     def test_duplicate_stump_equals_double_alpha(self):
         s = Stump(0, 0.5, 1, 0.8)
@@ -157,7 +163,7 @@ class TestTrain:
         history = {}
         model = train(X, y, rounds=25, history=history)
         assert history["train_error"][-1] <= history["train_error"][0]
-        assert np.mean(model.predict(X) != y) <= 0.1
+        assert np.mean(hard_labels(model.margins(X)) != y) <= 0.1
 
 
 class TestSerialization:
@@ -215,7 +221,7 @@ def loop_train(X, labels, rounds, history):
         alpha = 0.5 * math.log((1.0 - eps) / eps)
         stump = Stump(j, threshold, polarity, alpha)
         stumps.append(stump)
-        h = stump.predict(X)
+        h = np.where(X[:, j] >= threshold, polarity, -polarity)
         if err > boosting.EPS:
             w = w * np.exp(-alpha * y * h)
             w = w / w.sum()
@@ -266,7 +272,7 @@ class TestVectorizedScan:
         equals the loop reference bit for bit: 2 to 300 rows, so the class
         totals cross numpy's 128-element pairwise block, positive
         fractions 0.1 to 0.9, tied and untied columns, and every third fit
-        on a sliced view of a wider table's presort."""
+        on a slice of the wider table's scan table."""
         rng = np.random.default_rng(45)
         for trial in range(60):
             n = 2 + trial * 298 // 59
@@ -276,26 +282,30 @@ class TestVectorizedScan:
             labels = (rng.random(n) < 0.1 + 0.1 * (trial % 9)).astype(np.int64)
             labels[:2] = (0, 1)
             cols = np.sort(rng.choice(8, int(rng.integers(1, 7)), replace=False))
-            view = boosting.presort(X)[cols] if trial % 3 == 0 else None
+            fit_on = _Table(X)[cols] if trial % 3 == 0 else X[:, cols]
             history, want = {}, {}
-            got = train(X[:, cols], labels, 30, history=history, view=view)
+            got = train(fit_on, labels, 30, history=history)
             ref = loop_train(X[:, cols], labels, 30, want)
             assert bits(got) == bits(ref), trial
             assert hexes(history) == hexes(want), trial
 
     def test_presorted_view_gives_the_same_stump(self):
+        """A scan on a table slice, the presorted columns a fit takes,
+        finds train_stump's stump on those columns."""
         rng = np.random.default_rng(8)
         X = rng.integers(0, 4, size=(30, 5)).astype(np.float64)
         y = np.where(rng.random(30) < 0.4, 1.0, -1.0)
         w = uniform_weights(30)
-        assert train_stump(X, y, w, boosting.presort(X)) == train_stump(X, y, w)
+        for cols in (np.arange(5), np.array([4, 1, 3])):
+            j, threshold, polarity, err = boosting._Scan(_Table(X)[cols], y)(w)
+            assert (Stump(j, threshold, polarity, 0.0), err) == train_stump(X[:, cols], y, w)
 
 
 def loop_margins(model, X):
     """Reference ensemble score: one stump at a time into a zero vector."""
     m = np.zeros(X.shape[0])
     for s in model.stumps:
-        m += s.alpha * s.predict(X)
+        m += s.alpha * np.where(X[:, s.feature_index] >= s.threshold, s.polarity, -s.polarity)
     return m
 
 
@@ -324,7 +334,7 @@ class TestFullTableView:
             assert model.margins(X).tobytes() == loop_margins(model, X).tobytes(), trial
 
     def test_sliced_view_trains_the_same_model(self):
-        """train with the rows of a wider table's presort equals train on
+        """train on a slice of a wider table's scan table equals train on
         the sliced columns, stump for stump, ties included."""
         rng = np.random.default_rng(62)
         for trial in range(60):
@@ -334,8 +344,7 @@ class TestFullTableView:
             cols = np.flatnonzero(rng.random(12) < 0.5) if trial % 5 else np.arange(12)
             if cols.size == 0:
                 cols = np.array([trial % 12])
-            full = boosting.presort(X)
-            got = train(X[:, cols], labels, 15, view=full[cols])
+            got = train(_Table(X)[cols], labels, 15)
             assert bits(got) == bits(train(X[:, cols], labels, 15)), trial
 
     def test_wide_tied_train_is_frozen(self):
@@ -409,16 +418,51 @@ class TestFullTableView:
             ],
         }
 
-    @pytest.mark.parametrize("view", [
-        lambda X: boosting.presort(X[:, :2]),
-        lambda X: boosting.presort(X[1:]),
-        lambda X: boosting.presort(X)[:2],
-        lambda X: boosting.presort(X) + (np.zeros((3, 5)),),
-    ], ids=["too_few_columns", "too_few_rows", "two_arrays", "four_arrays"])
-    def test_mismatched_view_rejected(self, view):
-        X = np.arange(15, dtype=np.float64).reshape(5, 3)
-        with pytest.raises(DataError, match="presorted view"):
-            train(X, np.array([0, 1, 0, 1, 1]), 3, view=view(X))
+    def test_slice_equals_a_fresh_table(self):
+        """``_Table(X)[cols]`` equals ``_Table(X[:, cols])`` byte for byte
+        in every field: tables rounded to 0-2 decimals (ties), single
+        columns, and unsorted and repeated columns."""
+        rng = np.random.default_rng(63)
+        for trial in range(60):
+            d = 1 if trial % 6 == 0 else int(rng.integers(2, 10))
+            X = np.round(rng.standard_normal((int(rng.integers(1, 50)), d)) * 3, trial % 3)
+            cols = rng.integers(0, d, size=int(rng.integers(1, 2 * d + 1)))
+            if trial % 4 == 0:
+                cols = np.sort(np.unique(cols))
+            part, fresh = _Table(X)[cols], _Table(X[:, cols])
+            assert sorted(vars(part)) == sorted(vars(fresh)) == ["XT", "below", "sorted", "tied"]
+            for name, want in vars(fresh).items():
+                got = getattr(part, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), (trial, name)
+                assert got.flags.c_contiguous, (trial, name)
+                assert got.tobytes() == want.tobytes(), (trial, name)
+
+
+class TestThresholdRule:
+    """Where the midpoint of two sorted values is not strictly above the
+    lower one and at most the upper one, the upper value is the
+    threshold, so the stump splits the rows where the scan did."""
+
+    def check(self, X, labels):
+        X = np.array(X)
+        y, w = 2.0 * labels - 1.0, uniform_weights(len(labels))
+        stump, err = train_stump(X, y, w)
+        assert err == float(w[signs(stump, X) != y].sum()) == 0.0
+        history = {}
+        model = train(X, labels, 5, history=history)
+        assert model.stumps[0].threshold == stump.threshold
+        assert history["epsilon"] == history["train_error"] == [0.0]
+        assert np.array_equal(hard_labels(model.margins(X)), labels)
+        return stump.threshold
+
+    def test_midpoint_rounding_onto_the_lower_value(self):
+        up = np.nextafter(1.0, 2.0)
+        assert 0.5 * (1.0 + up) == 1.0
+        assert self.check([[1.0], [up]], np.array([0, 1])) == up
+
+    def test_midpoint_overflow(self):
+        assert self.check([[1e308], [1.5e308]], np.array([0, 1])) == 1.5e308
+        assert self.check([[-1.5e308], [-1e308]], np.array([1, 0])) == -1e308
 
 
 class TestBadInputs:
@@ -462,67 +506,12 @@ class TestBadInputs:
         with pytest.raises(DataError, match="labels"):
             train_stump(X, np.array(y), uniform_weights(4))
 
-    @pytest.mark.parametrize("bad", [
-        lambda X, y, w: (X, y[:3], uniform_weights(3), boosting.presort(X)),
-        lambda X, y, w: (X, y, w, boosting.presort(np.hstack((X, X[:, :1])))),
-        lambda X, y, w: (X, y, w, boosting.presort(X[:4] + 10.0)),
-        lambda X, y, w: (np.where(X == 3.0, np.nan, X), y, w, boosting.presort(X)),
-        lambda X, y, w: (X, y, w[:, None], boosting.presort(X)),
-    ], ids=["short_y_and_w", "other_columns", "other_rows", "nan_X", "column_weights"])
-    def test_view_path_checks_inputs(self, bad):
-        """A presorted view skips the sort, not the checks of X, y and w."""
+    def test_column_weights_rejected(self):
+        """(n, 1) weights hold one weight per row but are not (n,)."""
         X = np.arange(12, dtype=np.float64).reshape(6, 2)
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        with pytest.raises(DataError):
-            train_stump(*bad(X, y, uniform_weights(6)))
-
-    def test_view_of_a_shifted_table_gives_X_own_stump(self):
-        """A view carries only the row order, so a view of X + 100 (same
-        order) cannot lend that table's thresholds to X's stump."""
-        X = np.arange(12, dtype=np.float64).reshape(6, 2)
-        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        w = uniform_weights(6)
-        got = train_stump(X, y, w, boosting.presort(X + 100.0))
-        assert got == train_stump(X, y, w)
-        assert got[0].threshold == 9.0
-
-    @pytest.mark.parametrize("view", [
-        lambda X: boosting.presort(-X),
-        lambda X: boosting.presort(X)[:, ::-1],
-        lambda X: np.zeros((2, 6), dtype=np.int64),
-        lambda X: boosting.presort(X).astype(np.float64),
-        lambda X: np.array([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6]]),
-    ], ids=["negated_table", "reversed_rows", "zeros", "float_dtype", "index_n"])
-    def test_view_must_order_X(self, view):
-        X = np.arange(12, dtype=np.float64).reshape(6, 2)
-        with pytest.raises(DataError, match="presorted view"):
-            train_stump(X, np.array([1.0, -1.0] * 3), uniform_weights(6), view(X))
-        with pytest.raises(DataError, match="presorted view"):
-            train(X, np.array([1, 0] * 3), 3, view=view(X))
-
-    def test_view_rows_must_each_be_a_permutation(self):
-        """Row 0 = [0..n-2, n] with row 1 = [-1, 1..n-1] hits every flat
-        cell once and, on this X, gathers ascending values, but neither
-        row is a permutation of 0..n-1."""
-        X = np.arange(12, dtype=np.float64).reshape(2, 6).T
-        view = np.array([[0, 1, 2, 3, 4, 6], [-1, 1, 2, 3, 4, 5]])
-        with pytest.raises(DataError, match="presorted view"):
-            train_stump(X, np.array([1.0, -1.0] * 3), uniform_weights(6), view)
-        with pytest.raises(DataError, match="presorted view"):
-            train(X, np.array([1, 0] * 3), 3, view=view)
-
-    def test_narrow_integer_view_trains_the_same_model(self):
-        """A uint8 or uint64 view of 200 rows is a valid row order; the
-        scan's flat index (row + feature offset) must neither wrap in
-        uint8 nor promote to float with uint64."""
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((200, 3))
-        labels = (rng.random(200) < 0.5).astype(np.int64)
-        y, w = 2.0 * labels - 1.0, uniform_weights(200)
-        for dtype in (np.uint8, np.uint64):
-            view = boosting.presort(X).astype(dtype)
-            assert train_stump(X, y, w, view) == train_stump(X, y, w)
-            assert train(X, labels, 5, view=view) == train(X, labels, 5)
+        with pytest.raises(DataError, match="weights"):
+            train_stump(X, y, uniform_weights(6)[:, None])
 
     def test_model_without_stumps_rejected(self):
         with pytest.raises(DataError):

@@ -229,15 +229,15 @@ class TestSelectFeatures:
             "-0x1.323f63f63f640p+2"] + ["-0x1.4a4c24c24c24cp+2"] * 5
 
     def test_search_split_is_presorted_once_per_run(self, monkeypatch):
-        """One presort of the train table per run; every fit, the final
-        refit included, slices it."""
-        shapes, real_presort = [], selection.boosting.presort
+        """One full-width scan table of the train side per run; every fit,
+        the final refit included, slices it, so no other table is built."""
+        shapes, real_init = [], selection.boosting._Table.__init__
 
-        def counting_presort(X):
+        def counting_init(table, X):
             shapes.append(np.shape(X))
-            return real_presort(X)
+            real_init(table, X)
 
-        monkeypatch.setattr(selection.boosting, "presort", counting_presort)
+        monkeypatch.setattr(selection.boosting._Table, "__init__", counting_init)
         ds = synth(n=60, d_inf=2, d_noise=4, seed=5)
         for seed in (5, 6):
             res = select_features(ds, sel_cfg(ds.d, max_evaluations=80, seed=seed,
