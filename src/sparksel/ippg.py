@@ -12,8 +12,9 @@ its initial state are computed once per process, and so are each Hann
 window (per length) and in-band bin index array (per nfft, fps and
 band).  The filter and the spectrum work along the last axis, so a
 capture pair makes one filter call and one spectrum call per band over
-both ROIs' channel rows.  The two ROIs are regions of one capture: a
-pair must share its fps and its frame count.
+both ROIs' channel rows; both filter passes run in place in scipy's
+private SOS kernel.  The two ROIs are regions of one capture: a pair
+must share its fps and its frame count.
 
 Frame sequences round-trip through a small binary container: a
 16-byte little-endian header (magic "IPPG", u32 frame count, u16
@@ -27,8 +28,8 @@ row-major u8 pixels.
 from __future__ import annotations
 
 import functools
-import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,9 @@ class BandSpec:
     high: float
 
     def __post_init__(self):
-        if not (0.0 < self.low < self.high and math.isfinite(self.high)):
-            raise DataError(
-                "need finite 0 < low < high, got [%g, %g]" % (self.low, self.high)
-            )
+        # the exact comparison also rejects NaN and ints past a float's range
+        if not 0.0 < self.low < self.high <= sys.float_info.max:
+            raise DataError("need finite 0 < low < high, got [%s, %s]" % (self.low, self.high))
 
 
 HR_BAND = BandSpec(0.75, 3.33)
@@ -127,9 +127,9 @@ def _series(series, fps, min_len: int):
     """``(x, fps)``: the series as a contiguous float64 1-D series or 2-D
     (rows, T) stack with at least ``min_len`` samples per row, all
     finite, and fps as a finite float > 0; DataError otherwise."""
+    if not 0.0 < fps <= sys.float_info.max:
+        raise DataError("fps must be finite and > 0, got %s" % fps)
     fps = float(fps)
-    if not (math.isfinite(fps) and fps > 0.0):
-        raise DataError("fps must be finite and > 0, got %g" % fps)
     x = np.ascontiguousarray(series, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] < min_len:
         raise DataError("series must be 1-D or 2-D with last axis length >= %d" % min_len)
@@ -141,9 +141,10 @@ def _series(series, fps, min_len: int):
 @functools.lru_cache(maxsize=64)
 def _design(band: BandSpec, fps: float):
     """Second-order sections and their unit-step initial state.  The
-    sections stay writable: scipy's filter kernel rejects read-only
-    buffers.  scipy.signal loads here, on the first design, not with
-    the package: most commands never filter."""
+    sections stay writable: both ``bandpass`` passes run in place in
+    scipy's private SOS kernel, which rejects read-only buffers.
+    scipy.signal loads here, on the first design, not with the
+    package: most commands never filter."""
     from scipy.signal import butter, sosfilt_zi
 
     if not band.high < fps / 2.0:
@@ -171,21 +172,23 @@ def bandpass(series, band: BandSpec, fps: float) -> np.ndarray:
     The steps are those of ``scipy.signal.sosfiltfilt`` with odd padding
     of ``padlen = min(21, T - 1)`` samples, so the output is bit-equal
     to it; the filter design and its initial state come from a cache
-    per (band, fps) instead of being solved again on every call."""
-    from scipy.signal import sosfilt
+    per (band, fps) instead of being solved again on every call.  Both
+    passes run in place in scipy's private SOS kernel on buffers of its own."""
+    from scipy.signal._sosfilt import _sosfilt
 
     x, fps = _series(series, fps, 9)
     sos, zi = _design(band, fps)
-    zi = zi.reshape(zi.shape[:1] + (1,) * (x.ndim - 1) + zi.shape[1:])
     n = min(3 * (2 * sos.shape[0] + 1), x.shape[-1] - 1)
-    x = x - x.mean(axis=-1, keepdims=True)
-    head, tail = x[..., :1], x[..., -1:]
+    rows = x.reshape(-1, x.shape[-1])
+    rows = rows - rows.mean(axis=-1, keepdims=True)
+    head, tail = rows[:, :1], rows[:, -1:]
     ext = np.concatenate(
-        (2 * head - x[..., n:0:-1], x, 2 * tail - x[..., -2 : -(n + 2) : -1]), axis=-1
+        (2 * head - rows[:, n:0:-1], rows, 2 * tail - rows[:, -2 : -(n + 2) : -1]), axis=-1
     )
-    y, _ = sosfilt(sos, ext, axis=-1, zi=zi * ext[..., :1])
-    y, _ = sosfilt(sos, y[..., ::-1], axis=-1, zi=zi * y[..., -1:])
-    return y[..., ::-1][..., n:-n]
+    _sosfilt(sos, ext, zi * ext[:, :1, None])
+    back = ext[:, ::-1].copy()
+    _sosfilt(sos, back, zi * back[:, :1, None])
+    return back[:, ::-1][:, n:-n].reshape(x.shape)
 
 
 def _next_pow2(n: int) -> int:

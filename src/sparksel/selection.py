@@ -184,6 +184,8 @@ def select_features(ds: Dataset, cfg: SelectionConfig) -> SelectionResult:
     mask_streams = swarm.Streams(cfg.swarm.seed)
 
     def repaired(raw):
+        if raw.sum() >= lam:  # repair draws only for a mask below the floor
+            return repair(raw, lam, None)
         # keyed by mask content so repair is a pure function of the position
         bits = int.from_bytes(np.packbits(raw.astype(np.uint8)).tobytes(), "little")
         return repair(raw, lam, mask_streams(0x5EED, bits))

@@ -298,6 +298,90 @@ class TestBandpassOracle:
         assert not zi.flags.writeable
         assert sos.flags.writeable  # scipy's kernel rejects read-only sections
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["plus", "minus"])
+    def test_int_past_float_range_rejected(self, big):
+        with pytest.raises(DataError, match="fps must be finite"):
+            bandpass(np.zeros(100), HR_BAND, big)
+        with pytest.raises(DataError, match="fps must be finite"):
+            spectrum(np.zeros(100), big, HR_BAND)
+        with pytest.raises(DataError, match="need finite"):
+            BandSpec(0.1, abs(big))
+        with pytest.raises(DataError, match="need finite"):
+            BandSpec(big, 1.0)
+
+
+def test_scipy_private_sos_kernel_equals_sosfilt():
+    """``bandpass`` runs both passes through scipy's private compiled SOS
+    kernel, the one the public ``sosfilt`` wraps.  A scipy release that
+    moves the kernel or changes what it computes fails here with a
+    message naming the dependency, beside the iPPG tests it breaks."""
+    from scipy import __version__
+    from scipy.signal import sosfilt
+
+    hint = "scipy %s: ippg.bandpass needs scipy.signal._sosfilt._sosfilt" % __version__
+    try:
+        from scipy.signal._sosfilt import _sosfilt
+    except ImportError as exc:
+        pytest.fail("%s, which is gone: %s" % (hint, exc))
+    sos, _ = ippg._design(RR_BAND, 30.0)
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((5, 300)) * 20.0 + 128.0
+    zi = rng.standard_normal((5, sos.shape[0], 2))  # the kernel's (rows, sections, 2)
+    want, want_zf = sosfilt(sos, x, axis=-1, zi=zi.transpose(1, 0, 2))
+    got, got_zf = x.copy(), zi.copy()
+    _sosfilt(sos, got, got_zf)
+    assert got.tobytes() == want.tobytes(), "%s, whose output no longer equals sosfilt's" % hint
+    assert got_zf.tobytes() == np.ascontiguousarray(want_zf.transpose(1, 0, 2)).tobytes(), hint
+
+
+class TestBandpassInPlace:
+    """Both passes write scipy's kernel output into buffers ``bandpass``
+    owns; the caller's array is read, never written or returned."""
+
+    FPS = 25.0
+
+    @staticmethod
+    def noise(shape, seed=12):
+        return np.random.default_rng(seed).standard_normal(shape) * 20.0 + 128.0
+
+    @pytest.mark.parametrize("shape", [(300,), (3, 300)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_bytes_unchanged(self, shape, order):
+        x = np.asarray(self.noise(shape), order=order)
+        before = x.tobytes(order="A")
+        for band in (HR_BAND, RR_BAND):
+            bandpass(x, band, self.FPS)
+        assert x.tobytes(order="A") == before
+
+    @pytest.mark.parametrize("shape", [(300,), (3, 300)])
+    def test_read_only_input_accepted(self, shape):
+        x = self.noise(shape)
+        want = bandpass(x.copy(), HR_BAND, self.FPS)
+        x.flags.writeable = False
+        assert np.array_equal(bandpass(x, HR_BAND, self.FPS), want)
+
+    @pytest.mark.parametrize("shape", [(300,), (3, 300)])
+    def test_output_shares_no_memory_with_input(self, shape):
+        x = self.noise(shape)
+        assert not np.shares_memory(bandpass(x, HR_BAND, self.FPS), x)
+
+    def test_single_row_stack_equals_1d_call(self):
+        x = self.noise(300)
+        out = bandpass(x[None], HR_BAND, self.FPS)
+        assert out.shape == (1, 300)
+        assert out[0].tobytes() == bandpass(x, HR_BAND, self.FPS).tobytes()
+
+    def test_empty_stack_gives_empty_float64(self):
+        out = bandpass(np.zeros((0, 300)), HR_BAND, self.FPS)
+        assert (out.shape, out.dtype) == ((0, 300), np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    @pytest.mark.parametrize("shape", [(300,), (3, 300)])
+    def test_narrow_dtype_gives_its_float64_cast(self, dtype, shape):
+        x = self.noise(shape).astype(dtype)
+        want = bandpass(x.astype(np.float64), RR_BAND, self.FPS)
+        assert bandpass(x, RR_BAND, self.FPS).tobytes() == want.tobytes()
+
 
 class TestSpectrum:
     FPS = 25.0
