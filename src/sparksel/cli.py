@@ -26,8 +26,9 @@ so a report holds the same bytes either way apart from
 candidates in one objective call.  The output directory is created
 before the command runs, and every file lands in it atomically (temp
 then rename).  Exit codes: 0 success, 1 config error (running out of
-memory included), 2 data error, 3 internal invariant violation (a
-killed worker process included).
+memory and an output file that cannot be written included), 2 data
+error, 3 internal invariant violation (a killed worker process
+included).
 """
 
 from __future__ import annotations
@@ -145,12 +146,18 @@ def _write_atomic(path, content) -> None:
     is given) to a temp file beside ``path``, then rename it over ``path``;
     ``path`` lies in the output directory ``_dispatch`` created."""
     tmp = path + ".tmp"
-    if isinstance(content, str):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    else:
-        content(tmp)
-    os.replace(tmp, path)
+    try:
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        else:
+            content(tmp)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError("out_dir: cannot write %s: %s" % (path, exc)) from None
+    finally:
+        if os.path.isfile(tmp):  # left by a failed write; a directory there is not ours
+            os.remove(tmp)
 
 
 def _dataset(cfg: ExperimentConfig, seed, table=None):
@@ -190,17 +197,19 @@ def _in_workers(fn, items) -> list:
     # starts its own thread.  Python 3.12 warns on forking with threads
     # (an error under the tests' filterwarnings): revisit on an upgrade.
     # The workers inherit fn, items and the counter through the fork.
+    global _worker_items
     ctx = multiprocessing.get_context("fork")
-    shared = fn, items, ctx.Value("i", 0)
+    _worker_items = fn, items, ctx.Value("i", 0)
     try:
-        with ProcessPoolExecutor(slots - 1, mp_context=ctx, initializer=_join_items,
-                                 initargs=shared) as pool:
+        with ProcessPoolExecutor(slots - 1, mp_context=ctx) as pool:
             taken = [pool.submit(_take_items) for _ in range(slots - 1)]
-            done = _take_items(*shared)
+            done = _take_items()
         for future in taken:
             done.update(future.result())
     except BrokenProcessPool as exc:
         raise InvariantError("a worker process was killed: %s" % exc) from None
+    finally:
+        _worker_items = None
     results = []
     for index in sorted(done):  # the taken items are a prefix of items
         ok, value = done[index]
@@ -210,20 +219,14 @@ def _in_workers(fn, items) -> list:
     return results
 
 
-_worker_items = None  # a worker process's (fn, items, next index)
+_worker_items = None  # (fn, items, next index) while _in_workers runs
 
 
-def _join_items(*shared) -> None:
-    global _worker_items
-    _worker_items = shared
-
-
-def _take_items(fn=None, items=None, next_index=None) -> dict:
+def _take_items() -> dict:
     """Run items as this process takes them, in order, until none is
     left or one fails: ``{index: (True, result) or (False, error)}``.
-    A worker takes from what ``_join_items`` gave it."""
-    if fn is None:
-        fn, items, next_index = _worker_items
+    A worker takes from the ``_worker_items`` it inherited."""
+    fn, items, next_index = _worker_items
     done = {}
     while True:
         with next_index.get_lock():
@@ -447,7 +450,8 @@ def _compare(cfg: ExperimentConfig, out_dir) -> dict:
             raise DataError("cannot read report %s: %s" % (path, exc)) from None
         try:
             report = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # bad JSON, bad UTF-8, an integer over Python's digit limit
+        # bad JSON, bad UTF-8, an integer over Python's digit limit, nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise DataError("report %s is not valid JSON: %s" % (path, exc)) from None
         if not isinstance(report, dict):
             raise DataError("report %s is not a JSON object" % path)

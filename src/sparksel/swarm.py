@@ -145,11 +145,6 @@ class Streams:
         return self._rng
 
 
-def child_rng(seed: int, *path: int) -> np.random.Generator:
-    """A Generator of its own for one (seed, *path) stream."""
-    return Streams(seed)(*path)
-
-
 # --- benchmark objectives ------------------------------------------------
 
 # Both reduce along the last axis, so one point gives a scalar and an

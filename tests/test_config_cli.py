@@ -433,6 +433,24 @@ class TestExitCodes:
         assert run_cli(["select", "--config", cfg, "--out", str(tmp_path / out)]) == 1
         assert capsys.readouterr().err.startswith("config error: out_dir: cannot create")
 
+    @pytest.mark.parametrize("argv, taken, path", [
+        (["select"], "select.json", "select.json"),
+        (["synth"], "synth_0.csv", "synth_0.csv"),
+        (["synth"], "synth_0.csv.tmp", "synth_0.csv"),
+    ], ids=["report_is_dir", "csv_is_dir", "csv_temp_is_dir"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, argv, taken, path):
+        """A directory where an output file or its temp file goes fails
+        the command with one config error line naming the file, and no
+        temp file is left behind."""
+        (tmp_path / taken).mkdir()
+        cfg = write_config(tmp_path, QUICK)
+        assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir: cannot write %s: "
+                              % (tmp_path / path)) and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp" and p.is_file()] == []
+        assert (tmp_path / taken).is_dir()
+
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUICK)
         assert run_cli(["select", "--config", cfg, "--threads", "2"]) == 1
@@ -1077,9 +1095,12 @@ class TestCompare:
         '{"method_label": null, "aggregate": {"median_avg": 0.7}}',
         '{"command": ["select"], "aggregate": {"median_avg": 0.7}}',
         '{"aggregate": {"median_f1": 0.7}}',
+        "[" * 200_000,
+        '{"a": ' * 200_000,
     ], ids=["list", "config_list", "aggregate_list", "avg_string", "avg_nan", "avg_inf",
             "avg_bool", "avg_huge_int", "avg_above_one", "avg_over_digit_limit",
-            "label_int", "label_null", "command_list", "no_median_avg"])
+            "label_int", "label_null", "command_list", "no_median_avg",
+            "nested_arrays", "nested_objects"])
     def test_malformed_report_is_data_error(self, tmp_path, capsys, text):
         good = tmp_path / "good.json"
         good.write_text('{"aggregate": {"median_avg": 0.7}}')

@@ -46,33 +46,33 @@ class TestDiscretize:
 
 class TestRepair:
     def test_deficit_filled_exactly(self):
-        rng = swarm.child_rng(0, 1)
+        rng = swarm.Streams(0)(1)
         mask = np.array([1, 0, 0, 0, 0])
         out = repair(mask, 3, rng)
         assert out.sum() == 3
         assert out[0] == 1  # set bits never cleared
 
     def test_at_or_above_floor_untouched(self):
-        rng = swarm.child_rng(0, 2)
+        rng = swarm.Streams(0)(2)
         mask = np.array([1, 1, 0, 1])
         assert np.array_equal(repair(mask, 2, rng), mask)
         assert np.array_equal(repair(mask, 3, rng), mask)
 
     def test_all_zero_mask_gets_lambda_bits(self):
-        out = repair(np.zeros(10, dtype=np.int64), 4, swarm.child_rng(1, 0))
+        out = repair(np.zeros(10, dtype=np.int64), 4, swarm.Streams(1)(0))
         assert out.sum() == 4
 
     def test_monotone(self):
         rng_src = np.random.default_rng(5)
         for trial in range(50):
             mask = rng_src.integers(0, 2, size=12)
-            out = repair(mask, 6, swarm.child_rng(2, trial))
+            out = repair(mask, 6, swarm.Streams(2)(trial))
             assert np.all(out >= mask)
             assert out.sum() >= 6
 
     def test_lambda_exceeding_dimension_rejected(self):
         with pytest.raises(ConfigError):
-            repair(np.zeros(3, dtype=np.int64), 4, swarm.child_rng(0, 0))
+            repair(np.zeros(3, dtype=np.int64), 4, swarm.Streams(0)(0))
 
 
 class TestFitness:
@@ -94,7 +94,7 @@ class TestFitness:
         rng = np.random.default_rng(0)
         for _ in range(10):
             mask = repair(rng.integers(0, 2, size=ds.d), 2,
-                          swarm.child_rng(0, int(rng.integers(1 << 30))))
+                          swarm.Streams(0)(int(rng.integers(1 << 30))))
             loss, _ = fitness(mask, split, cfg)
             assert -6.0 <= loss <= 0.0
 

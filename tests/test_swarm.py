@@ -8,8 +8,8 @@ from sparksel import swarm
 from sparksel.cli import main
 from sparksel.errors import ConfigError, InvariantError
 from sparksel.swarm import (
+    Streams,
     SwarmConfig,
-    child_rng,
     explode,
     explode_around_best,
     fa_radius,
@@ -152,7 +152,7 @@ class TestPbest:
 class TestSpatialOperators:
     def test_explode_moves_only_chosen_dims(self):
         x = np.full(6, 0.5)
-        sparks = explode(x, 0.2, 40, child_rng(0, 1, 1))
+        sparks = explode(x, 0.2, 40, Streams(0)(1, 1))
         assert sparks.shape == (40, 6)
         for row in sparks:
             moved = row != 0.5
@@ -161,14 +161,14 @@ class TestSpatialOperators:
 
     def test_explode_replay_is_deterministic(self):
         x = np.array([0.2, 0.8, 0.5])
-        a = explode(x, 0.1, 10, child_rng(7, 3, 2))
-        b = explode(x, 0.1, 10, child_rng(7, 3, 2))
+        a = explode(x, 0.1, 10, Streams(7)(3, 2))
+        b = explode(x, 0.1, 10, Streams(7)(3, 2))
         assert np.array_equal(a, b)
 
     def test_explode_around_best_is_multiplicative(self):
         """Sparks scale coordinates, so a zero coordinate stays zero."""
         x = np.array([0.0, 0.5, 0.25, 0.1])
-        sparks = explode_around_best(x, 200, child_rng(0, 1, 1))
+        sparks = explode_around_best(x, 200, Streams(0)(1, 1))
         mapped_zero = sparks[:, 0]
         assert np.all((mapped_zero == 0.0) | (mapped_zero >= 0.0))
         inside = sparks[:, 1][(sparks[:, 1] >= 0) & (sparks[:, 1] <= 1)]
@@ -176,7 +176,7 @@ class TestSpatialOperators:
 
     def test_gaussian_mutate_changes_a_nonempty_subset(self):
         x = np.full(5, 0.3)
-        rng = child_rng(1, 2, 3)
+        rng = Streams(1)(2, 3)
         for _ in range(30):
             y = gaussian_mutate(x, rng)
             assert y.shape == (5,)
@@ -184,7 +184,7 @@ class TestSpatialOperators:
             assert np.all((y >= 0.0) & (y <= 1.0))
 
     def test_map_to_bounds(self):
-        rng = child_rng(0, 9)
+        rng = Streams(0)(9)
         x = np.array([[0.5, -0.2], [1.7, 0.3]])
         y = map_to_bounds(x, rng)
         assert np.all((y >= 0.0) & (y <= 1.0))
@@ -193,26 +193,26 @@ class TestSpatialOperators:
 
     def test_map_to_bounds_replay(self):
         x = np.array([[2.0, 0.1, -1.0]])
-        a = map_to_bounds(x, child_rng(5, 1))
-        b = map_to_bounds(x, child_rng(5, 1))
+        a = map_to_bounds(x, Streams(5)(1))
+        b = map_to_bounds(x, Streams(5)(1))
         assert np.array_equal(a, b)
 
 
 class TestSelection:
     def test_keep_one_returns_argmin(self):
-        sel = select_next([3.0, 1.0, 2.0], 1, child_rng(0, 0))
+        sel = select_next([3.0, 1.0, 2.0], 1, Streams(0)(0))
         assert sel.tolist() == [1]
 
     def test_elite_always_first(self):
         rng = np.random.default_rng(6)
         for trial in range(40):
             f = rng.uniform(size=12)
-            sel = select_next(f, 5, child_rng(0, trial))
+            sel = select_next(f, 5, Streams(0)(trial))
             assert sel[0] == np.argmin(f)
             assert len(set(sel.tolist())) == 5  # no duplicates
 
     def test_tie_keeps_first_index(self):
-        sel = select_next([2.0, 1.0, 1.0, 3.0], 2, child_rng(0, 1))
+        sel = select_next([2.0, 1.0, 1.0, 3.0], 2, Streams(0)(1))
         assert sel[0] == 1
 
     def test_non_elite_picks_are_uniform(self):
@@ -222,7 +222,7 @@ class TestSelection:
         trials = 4000
         counts = np.zeros(5)
         for t in range(trials):
-            sel = select_next(f, 2, child_rng(42, t))
+            sel = select_next(f, 2, Streams(42)(t))
             counts[sel[1]] += 1
         assert counts[0] == 0
         expected = trials / 4.0
@@ -232,28 +232,28 @@ class TestSelection:
 
     def test_too_few_candidates_rejected(self):
         with pytest.raises(ConfigError):
-            select_next([1.0, 2.0], 3, child_rng(0, 0))
+            select_next([1.0, 2.0], 3, Streams(0)(0))
 
 
 class TestChildRng:
     def test_same_path_same_stream(self):
-        a = child_rng(3, 1, 2).uniform(size=8)
-        b = child_rng(3, 1, 2).uniform(size=8)
+        a = Streams(3)(1, 2).uniform(size=8)
+        b = Streams(3)(1, 2).uniform(size=8)
         assert np.array_equal(a, b)
 
     def test_distinct_paths_distinct_streams(self):
         draws = {
-            tuple(np.round(child_rng(3, *path).uniform(size=4), 12))
+            tuple(np.round(Streams(3)(*path).uniform(size=4), 12))
             for path in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 5)]
         }
         assert len(draws) == 5
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("gen", [1, 7, 2**32])
-    def test_rekey_matches_child_rng(self, seed, gen):
+    def test_rekey_matches_streams(self, seed, gen):
         # a Philox keyed by hand from the little-endian uint32 words of
-        # seed, generation and slot, counter at zero, is the child_rng
-        # stream; this pins the key layout for seeds and generations
+        # seed, generation and slot, counter at zero, is what Streams
+        # draws; this pins the key layout for seeds and generations
         # past 32 bits, and the three fireworks roles stay apart
         def words(n):
             out = [n & 0xFFFFFFFF]
@@ -271,7 +271,7 @@ class TestChildRng:
             got, want = (
                 np.concatenate([r.integers(0, 2, size=3), r.uniform(size=2),
                                 r.standard_normal(3), r.permutation(5)])
-                for r in (rng, child_rng(seed, gen, *slot))
+                for r in (rng, Streams(seed)(gen, *slot))
             )
             assert np.array_equal(got, want)
             seen[len(slot)].add(got.tobytes())
