@@ -6,8 +6,10 @@ by a zero-phase 3rd-order Butterworth filter and summarized in both
 domains: five time-domain statistics plus in-band FFT magnitudes per
 ROI, channel, and band.
 
-The hot paths do no per-call setup: pixel sums run as one float64
-matrix product per block of frames, each (band, fps) filter design and
+The hot paths do no per-call setup: pixel sums run as one exact
+float32 matrix product with a cached 0/1 channel picker per block of
+frames (and per column span of at most 65793 pixels, so every partial
+sum stays below 2**24), each (band, fps) filter design and
 its initial state are computed once per process, and so are each Hann
 window (per length) and in-band bin index array (per nfft, fps and
 band).  The filter and the spectrum work along the last axis, so a
@@ -96,29 +98,47 @@ class IppgSignal:
     roi_tag: str
 
 
-# Pixel values converted to float64 per block of frames; bounds the
-# temporary at 8 * _SUM_BLOCK bytes (one frame when a frame is larger).
+# Pixel values cast to float32 per block of frames; bounds the
+# temporary at 4 * _SUM_BLOCK bytes (one frame when a frame is larger).
 _SUM_BLOCK = 1 << 18
+# Pixels per column span: a span's u8 channel sums stay below 2**24,
+# the range in which float32 holds every integer exactly.
+_SPAN_PIXELS = (2**24 - 1) // 255
+
+
+@functools.lru_cache(maxsize=16)
+def _picker(pixels: int, channels: int) -> np.ndarray:
+    """(pixels * channels, channels) float32 0/1 matrix that sums each
+    channel of ``pixels`` interleaved pixels in one product."""
+    pick = np.tile(np.eye(channels, dtype=np.float32), (pixels, 1))
+    pick.flags.writeable = False
+    return pick
 
 
 def build_signal(frames: FrameSequence, roi_tag: str) -> IppgSignal:
     """Per-channel mean of every frame as the C x T' signal matrix.
 
     Pixels are summed exactly before one division per value: each block
-    of frames goes through one float64 matrix product with a ones
-    vector, and every partial sum is an integer below 2**53, so the
-    result is independent of summation order.
+    of frames, cast to float32 as a (frames, H*W*C) matrix, goes through
+    one float32 matrix product per column span with a cached 0/1 channel
+    picker.  Every product is a u8 value times 0 or 1, and a span holds
+    at most ``_SPAN_PIXELS`` pixels, so every partial sum is an integer
+    below 2**24 that float32 holds exactly, whatever order the product
+    adds in; spans add up in float64, exact below 2**53.
     """
     if roi_tag not in ROI_TAGS:
         raise DataError("roi_tag must be one of %s" % (ROI_TAGS,))
     pixels = frames.pixels
     t, h, w, c = pixels.shape
-    ones = np.ones(h * w)
+    pick = _picker(min(h * w, _SPAN_PIXELS), c)
+    span = pick.shape[0]
     step = max(1, _SUM_BLOCK // (h * w * c))
-    sums = np.empty((t, c))
+    sums = np.zeros((t, c))
     for start in range(0, t, step):
-        block = pixels[start : start + step].astype(np.float64)
-        sums[start : start + step] = ones @ block.reshape(-1, h * w, c)
+        block = pixels[start : start + step].astype(np.float32, order="C").reshape(-1, h * w * c)
+        for lo in range(0, block.shape[1], span):
+            cols = block[:, lo : lo + span]
+            sums[start : start + step] += cols @ pick[: cols.shape[1]]
     samples = sums.T / float(h * w)
     return IppgSignal(samples=samples, fps=frames.fps, roi_tag=roi_tag)
 
@@ -311,10 +331,15 @@ def feature_schema(fps: int, n_frames: int) -> tuple:
 # --- binary frame container ----------------------------------------------
 
 def write_frames(frames: FrameSequence, path) -> None:
-    """Serialize a FrameSequence to the 16-byte-header binary format."""
+    """Serialize a FrameSequence to the 16-byte-header binary format.
+    A frame count, height, width or fps past its header field (u32,
+    u16, u16, u8) raises DataError before the file is opened."""
     t, h, w, c = frames.pixels.shape
     if not 1 <= frames.fps <= MAX_FILE_FPS:
         raise DataError("fps must fit u8, got %d" % frames.fps)
+    for name, size, bits in (("frame count", t, 32), ("height", h, 16), ("width", w, 16)):
+        if size >> bits:
+            raise DataError("%s must fit u%d, got %d" % (name, bits, size))
     header = _HEADER.pack(MAGIC, t, h, w, c, frames.fps)
     with open(path, "wb") as fh:
         fh.write(header)
@@ -323,7 +348,8 @@ def write_frames(frames: FrameSequence, path) -> None:
 
 def read_frames(path) -> FrameSequence:
     """Load a FrameSequence written by ``write_frames``; validates the
-    magic, the declared shape, and the payload size."""
+    magic, the declared shape, and the payload size.  The pixels are
+    one writable copy of the payload."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -337,12 +363,10 @@ def read_frames(path) -> FrameSequence:
     if c != 3:
         raise DataError("%s: expected 3 channels, header says %d" % (path, c))
     expected = t * h * w * c
-    payload = raw[_HEADER.size :]
-    if len(payload) != expected:
-        raise DataError(
-            "%s: payload is %d bytes, header implies %d" % (path, len(payload), expected)
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(t, h, w, c).copy()
+    payload = len(raw) - _HEADER.size
+    if payload != expected:
+        raise DataError("%s: payload is %d bytes, header implies %d" % (path, payload, expected))
+    pixels = np.frombuffer(raw, np.uint8, offset=_HEADER.size).reshape(t, h, w, c).copy()
     return FrameSequence(pixels=pixels, fps=int(fps))
 
 

@@ -120,7 +120,7 @@ def einsum_sums(pixels):
 
 
 class TestBuildSignalOracle:
-    """The blocked float64 matrix-product sums equal exact int64 sums."""
+    """The blocked float32 matrix-product sums equal exact int64 sums."""
 
     @pytest.mark.parametrize("shape", [(60, 8, 8, 3), (50, 5, 11, 3), (30, 1, 1, 3)])
     def test_random_frames(self, shape):
@@ -142,6 +142,30 @@ class TestBuildSignalOracle:
         assert pixels.size > ippg._SUM_BLOCK
         assert pixels.shape[0] % (ippg._SUM_BLOCK // frame) != 0  # ragged last block
         sig = build_signal(frames_of(pixels, fps=25), "fore")
+        assert np.array_equal(sig.samples, einsum_sums(pixels))
+
+
+class TestSpanCap:
+    """Each float32 product covers at most ippg._SPAN_PIXELS pixels, so
+    its channel sums stay below 2**24, where float32 is exact."""
+
+    def test_cap_is_the_largest_exact_span(self):
+        assert ippg._SPAN_PIXELS * 255 < 2**24 <= (ippg._SPAN_PIXELS + 1) * 255
+
+    @pytest.mark.parametrize("h, w, spans", [(257, 256, 1), (257, 257, 2)])
+    def test_all_255_frames_at_the_cap(self, h, w, spans):
+        assert -(-h * w // ippg._SPAN_PIXELS) == spans
+        pixels = np.full((2, h, w, 3), 255, dtype=np.uint8)
+        sig = build_signal(frames_of(pixels, fps=1), "fore")
+        assert np.array_equal(sig.samples, einsum_sums(pixels))
+        assert np.all(sig.samples == 255.0)
+
+    def test_random_megapixel_frames(self):
+        rng = np.random.default_rng(24)
+        pixels = rng.integers(0, 256, size=(3, 600, 600, 3)).astype(np.uint8)
+        assert np.einsum("thwc->tc", pixels, dtype=np.int64).min() >= 2**24
+        assert 600 * 600 % ippg._SPAN_PIXELS != 0  # ragged last span
+        sig = build_signal(frames_of(pixels, fps=1), "nose")
         assert np.array_equal(sig.samples, einsum_sums(pixels))
 
 
@@ -663,6 +687,26 @@ class TestBinaryContainer:
         with pytest.raises(DataError, match="fps must fit u8, got 300"):
             write_frames(seq, tmp_path / "clip.ippg")
         assert not (tmp_path / "clip.ippg").exists()
+
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 70000, 1, 3), "height must fit u16, got 70000"),
+        ((2, 1, 65536, 3), "width must fit u16, got 65536"),
+        ((2**32, 1, 1, 3), "frame count must fit u32, got 4294967296"),
+    ], ids=["height", "width", "frame_count"])
+    def test_shape_past_header_rejected_on_write(self, tmp_path, shape, message):
+        pixels = np.broadcast_to(np.zeros((1, 1, 1, 3), dtype=np.uint8), shape)
+        with pytest.raises(DataError, match=message):
+            write_frames(frames_of(pixels, fps=1), tmp_path / "clip.ippg")
+        assert not (tmp_path / "clip.ippg").exists()
+
+    def test_read_pixels_are_a_private_writable_copy(self, tmp_path):
+        seq = synth_pulse_frames(25, 4.0, 3, 4, seed=5)
+        path = tmp_path / "clip.ippg"
+        write_frames(seq, path)
+        first = read_frames(path)
+        assert first.pixels.flags.writeable
+        first.pixels[...] = 0
+        assert np.array_equal(read_frames(path).pixels, seq.pixels)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError):
