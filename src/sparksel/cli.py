@@ -183,8 +183,10 @@ def _in_workers(fn, items) -> list:
     no more processes are busy than there are CPUs and none sits idle
     while an item waits.  After a failure no further item starts, and
     the first error in item order is raised, as the loop would raise
-    it.  A worker killed by a signal raises ``InvariantError``.  No
-    worker outlives the call."""
+    it; an interrupt also stops further items.  A worker killed by a
+    signal raises ``InvariantError``.  After an error, an interrupt or a
+    killed worker, no worker is left; a signal that ends this process
+    itself can leave a worker running."""
     slots = min(len(items), len(os.sched_getaffinity(0)))
     if slots < 2:
         return [fn(item) for item in items]
@@ -225,7 +227,8 @@ _worker_items = None  # (fn, items, next index) while _in_workers runs
 def _take_items() -> dict:
     """Run items as this process takes them, in order, until none is
     left or one fails: ``{index: (True, result) or (False, error)}``.
-    A worker takes from the ``_worker_items`` it inherited."""
+    An interrupt stops the items too and is raised.  A worker takes
+    from the ``_worker_items`` it inherited."""
     fn, items, next_index = _worker_items
     done = {}
     while True:
@@ -236,10 +239,12 @@ def _take_items() -> dict:
             return done
         try:
             done[index] = True, fn(items[index])
-        except Exception as exc:
-            done[index] = False, exc
+        except BaseException as exc:
             with next_index.get_lock():
                 next_index.value = len(items)  # no further item starts
+            if not isinstance(exc, Exception):
+                raise
+            done[index] = False, exc
             return done
 
 

@@ -234,43 +234,30 @@ def _band_bins(nfft: int, fps: float, band: BandSpec) -> np.ndarray:
 class SpectrumResult:
     """Windowed, zero-padded magnitude spectrum restricted to one band.
 
-    ``bin_freqs``/``bin_magnitudes`` keep every non-negative frequency
-    bin so energy checks can run over the whole spectrum; ``freqs`` and
-    ``magnitudes`` are the in-band slice; ``peak_hz`` is the frequency
-    of the largest in-band magnitude: a float for a 1-D series, and a
-    list of floats, one per row, for a stack.
+    ``magnitudes`` holds the in-band bins along the last axis;
+    ``peak_hz`` is the frequency of the largest of them: a float for a
+    1-D series, and a list of floats, one per row, for a stack.
     """
 
     peak_hz: float | list
-    freqs: np.ndarray
     magnitudes: np.ndarray
-    bin_freqs: np.ndarray
-    bin_magnitudes: np.ndarray
-    nfft: int
 
 
 def spectrum(series, fps: float, band: BandSpec) -> SpectrumResult:
-    """Magnitude spectrum with a Hann window, zero-padded to the next
-    power of two, along the last axis of a 1-D series or a 2-D (rows, T)
-    stack; each row comes out bit-equal to a 1-D call on it.  Needs at
-    least 64 samples.  The window and the in-band bin indices come from
-    caches per length and per (nfft, fps, band)."""
+    """In-band magnitude spectrum with a Hann window, zero-padded to the
+    next power of two, along the last axis of a 1-D series or a 2-D
+    (rows, T) stack; each row comes out bit-equal to a 1-D call on it.
+    Needs at least 64 samples, and a band that holds an FFT bin
+    (DataError otherwise).  The window and the in-band bin indices come
+    from caches per length and per (nfft, fps, band)."""
     x, fps = _series(series, fps, 64)
     nfft = _next_pow2(x.shape[-1])
-    mags = np.abs(np.fft.rfft(x * _hann(x.shape[-1]), n=nfft, axis=-1))
-    freqs = np.arange(mags.shape[-1]) * (fps / nfft)
     bins = _band_bins(nfft, fps, band)
     if bins.size == 0:
         raise DataError("band [%g, %g] holds no FFT bin" % (band.low, band.high))
-    in_mags = mags[..., bins]
-    return SpectrumResult(
-        peak_hz=freqs[bins[np.argmax(in_mags, axis=-1)]].tolist(),
-        freqs=freqs[bins],
-        magnitudes=in_mags,
-        bin_freqs=freqs,
-        bin_magnitudes=mags,
-        nfft=nfft,
-    )
+    mags = np.abs(np.fft.rfft(x * _hann(x.shape[-1]), n=nfft, axis=-1)[..., bins])
+    peak_hz = bins[np.argmax(mags, axis=-1)] * (fps / nfft)
+    return SpectrumResult(peak_hz=peak_hz.tolist(), magnitudes=mags)
 
 
 def extract_features(fore: FrameSequence, nose: FrameSequence) -> np.ndarray:

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 import sparksel
@@ -708,6 +707,14 @@ class TestOtherCommands:
         assert err.startswith("data error: cannot read a\0b.ippg")
         assert not (tmp_path / "ippg.json").exists()
 
+    def test_ippg_band_without_bins_is_data_error(self, tmp_path, capsys):
+        # 2000 frames at 1000 fps space the 2048 bins 0.49 Hz apart
+        cfg = write_config(tmp_path, "ippg.fps = 1000\nippg.duration_s = 2\n"
+                                     "ippg.height = 2\nippg.width = 2\n")
+        assert run_cli(["ippg", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "data error: band [0.15, 0.4] holds no FFT bin\n"
+        assert not (tmp_path / "ippg.json").exists()
+
     def test_data_path_is_read_once_per_command(self, tmp_path, monkeypatch):
         assert run_cli(["synth", "--config", write_config(tmp_path, QUICK),
                         "--out", str(tmp_path)]) == 0
@@ -972,6 +979,29 @@ def test_first_failure_starts_no_further_seed(tmp_path, monkeypatch, capsys, poo
     assert run_cli(["select", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "data error: seed 0 fails\n"
     assert "4" not in started.read_text().split()
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_starts_no_further_seed(tmp_path, monkeypatch, pools):
+    """An interrupt stops the seeds as a failure does: the seeds not yet
+    handed to a process never start, and no worker is left."""
+    started = tmp_path / "started"
+    started.write_text("")
+
+    def interrupt(seed):
+        if seed == 0:  # interrupted while the other process runs seed 1
+            time.sleep(0.2)
+            raise KeyboardInterrupt
+        with open(started, "a", encoding="utf-8") as fh:
+            fh.write("%d\n" % seed)
+        time.sleep(0.5)
+
+    fail_in_select(monkeypatch, interrupt)
+    use_cpus(monkeypatch, 2)
+    cfg = write_config(tmp_path, QUICK.replace("seeds = 0", "seeds = 0,1,2,3,4"))
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["select", "--config", cfg, "--out", str(tmp_path)])
+    assert not {"2", "3", "4"} & set(started.read_text().split())
     assert multiprocessing.active_children() == []
 
 
